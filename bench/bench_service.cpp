@@ -153,7 +153,8 @@ StreamingOverheadResult measure_streaming_overhead(service::Client& client,
   sweep.l = {100, 200, 400};
   sweep.d = {4, 16};
   sweep.p = {512};
-  const std::vector<run::Point> grid = service::expand_grid(sweep);
+  const std::vector<run::Point> grid =
+      service::grid_spec(sweep).expand(sweep.threads, 1);
   r.grid_points = static_cast<std::int64_t>(grid.size());
 
   alg::WorkloadCache workloads;

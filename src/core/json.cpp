@@ -33,8 +33,17 @@ class Parser {
   Value value() {
     if (pos_ >= s_.size()) fail(pos_, "unexpected end of input");
     switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // The parser (and Value's destructor) recurse once per level, so
+        // unbounded nesting would overflow the stack on hostile input.
+        if (++depth_ > kMaxDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Value v = s_[pos_] == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return Value::make_string(string());
       case 't': literal("true"); return Value::make_bool(true);
       case 'f': literal("false"); return Value::make_bool(false);
@@ -186,6 +195,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the current value
 };
 
 }  // namespace

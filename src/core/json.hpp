@@ -66,8 +66,13 @@ class Value {
   std::map<std::string, Value> object_;
 };
 
+/// Arrays and objects nested deeper than this are rejected: parsing and
+/// destroying a Value recurse once per level.
+inline constexpr int kMaxDepth = 256;
+
 /// Parse one complete JSON document; throws PreconditionError with a
-/// byte offset on any syntax error or trailing input.
+/// byte offset on any syntax error, nesting deeper than kMaxDepth, or
+/// trailing input.
 Value parse(std::string_view text);
 
 /// Serialize a Value to one compact line (no insignificant whitespace,

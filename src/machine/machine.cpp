@@ -111,38 +111,33 @@ Machine::Machine(MachineConfig config)
 }
 
 Machine Machine::dmm(std::int64_t width, Cycle latency,
-                     std::int64_t num_threads, std::int64_t memory_size,
-                     bool record_trace) {
+                     std::int64_t num_threads, std::int64_t memory_size) {
   MachineConfig cfg;
   cfg.width = width;
   cfg.threads_per_dmm = {num_threads};
   cfg.shared = MemorySpec{memory_size, latency};
-  cfg.record_trace = record_trace;
   return Machine(std::move(cfg));
 }
 
 Machine Machine::umm(std::int64_t width, Cycle latency,
-                     std::int64_t num_threads, std::int64_t memory_size,
-                     bool record_trace) {
+                     std::int64_t num_threads, std::int64_t memory_size) {
   MachineConfig cfg;
   cfg.width = width;
   cfg.threads_per_dmm = {num_threads};
   cfg.global = MemorySpec{memory_size, latency};
-  cfg.record_trace = record_trace;
   return Machine(std::move(cfg));
 }
 
 Machine Machine::hmm(std::int64_t width, Cycle global_latency,
                      std::int64_t num_dmms, std::int64_t threads_per_dmm,
                      std::int64_t shared_size, std::int64_t global_size,
-                     bool record_trace, Cycle shared_latency) {
+                     Cycle shared_latency) {
   MachineConfig cfg;
   cfg.width = width;
   cfg.threads_per_dmm.assign(static_cast<std::size_t>(num_dmms),
                              threads_per_dmm);
   cfg.shared = MemorySpec{shared_size, shared_latency};
   cfg.global = MemorySpec{global_size, global_latency};
-  cfg.record_trace = record_trace;
   // A registered topology overlay reshapes the machine the driver asked
   // for: per-DMM thread counts and shared specs, plus interconnect links.
   // The driver's shared_size formula (computed for the LARGEST DMM, see
@@ -284,7 +279,8 @@ class Engine {
   // resumes are irreducible), but verifies the freshly posted ops
   // against the slot in one fused pass and then applies the recorded
   // pricing directly — no batch build, no profile_batch, no
-  // service() — with byte-identical timing, traffic and trace effects.
+  // service() — with byte-identical timing and traffic effects.  Replay
+  // only runs with no observer attached, so it never emits trace events.
   // Any deviation (different op, inadmissible address shift, lane
   // death, barrier) bails out to the ordinary scan path for that round
   // and the warp starts scanning again; kMaxBailouts flaps WITHOUT an
@@ -303,11 +299,10 @@ class Engine {
   //    shared memory are then private — no other warp can read or write
   //    any state the block touches, so running the block ahead of the
   //    global clock order commutes with every other warp's rounds.
-  //    Requires no trace consumer (trace events are globally ordered).
   //  * horizon regime: each successive round's (clock, warp id) still
   //    precedes the ready queue's minimum, i.e. the round would have
-  //    been the very next pop anyway.  Exact for any slot content, trace
-  //    included — this is just the event loop with the re-heap skipped.
+  //    been the very next pop anyway.  Exact for any slot content — this
+  //    is just the event loop with the re-heap skipped.
   static constexpr std::int64_t kMaxPeriod = 8;
   static constexpr std::int64_t kHistory = 2 * kMaxPeriod;
   static constexpr std::int64_t kMaxBailouts = 8;
@@ -445,7 +440,6 @@ class Engine {
   enum class ReplayResult : std::uint8_t { kReplayed, kParked, kBailed };
 
   void launch_threads();
-  void emit_trace(const TraceEvent& event);
   void round(Shard& s, WarpState& w);
   void dispatch_scan(Shard& s, WarpState& w);
   void resume_flagged(WarpState& w);
@@ -572,12 +566,12 @@ class Engine {
   std::int64_t link_remote_batches_ = 0;
   std::int64_t link_stages_ = 0;
   RunReport report_;
-  // Trace routing, sampled once per run: trace_ is true when ANY consumer
-  // wants TraceEvents (the legacy record_trace collector and/or an
-  // attached observer with wants_trace_events()); with no consumer the
-  // per-round cost is a single branch on a cached bool.
+  // Trace routing, sampled once per run: trace_ is true when the attached
+  // observer wants TraceEvents (wants_trace_events()); otherwise the
+  // per-round cost is a single branch on a cached bool and no TraceEvent
+  // is ever constructed.  Traced runs are always serial and never replay
+  // (both need an observer attached), so only the slow path emits.
   bool trace_ = false;
-  bool observer_traces_ = false;
 };
 
 namespace {
@@ -687,11 +681,6 @@ void Engine::launch_threads() {
   if (replay_enabled_) {
     trackers_.resize(static_cast<std::size_t>(topo.total_warps()));
   }
-  if (machine_.config_.record_trace) {
-    // Every warp produces at least a few events; start with a generous
-    // capacity so early rounds never reallocate mid-run.
-    report_.trace.reserve(static_cast<std::size_t>(topo.total_warps()) * 8);
-  }
 
   for (const WarpState& w : warps_) requeue(shard_for(w.dmm), w);
 }
@@ -708,21 +697,20 @@ RunReport Engine::run() {
     machine_.global_->memory.reset_traffic();
   }
 
-  observer_traces_ =
+  trace_ =
       machine_.observer_ != nullptr && machine_.observer_->wants_trace_events();
-  trace_ = machine_.config_.record_trace || observer_traces_;
 
   // Resolve the engine worker count (MachineConfig::threads, 0 = the
   // calling thread's default): clamped to the number of DMMs — shards
   // partition DMMs, so extra workers would idle — and to 1 whenever an
-  // observer is attached or a trace is recorded, because the serial-order
-  // event stream is only produced by the serial loop (same contract as
-  // fast-forward replay disabling under observers).
+  // observer is attached, because the serial-order event stream is only
+  // produced by the serial loop (same contract as fast-forward replay
+  // disabling under observers).
   std::int64_t nshards = machine_.config_.threads;
   if (nshards == 0) nshards = Machine::thread_engine_threads();
   if (nshards < 1) nshards = 1;
   nshards = std::min(nshards, machine_.num_dmms());
-  if (machine_.observer_ != nullptr || trace_) nshards = 1;
+  if (machine_.observer_ != nullptr) nshards = 1;
   threaded_ = nshards > 1;
   // Re-running with fewer threads must not keep stale worker arenas (and
   // their chunks) alive for workers that no longer exist.
@@ -732,9 +720,6 @@ RunReport Engine::run() {
   // memoization of exact profiles, so it stays on even under observation;
   // the REPLAY shortcut falls back to full simulation whenever an
   // observer is attached, so observers always see every batch event.
-  // record_trace alone does not disable replay: replayed rounds
-  // synthesize their TraceEvents exactly (same fields the slow path
-  // emits, from the same inject()/acquire() calls).
   PatternCache* cache0 = nullptr;
   if (machine_.config_.fast_forward) {
     cache0 = machine_.external_cache_ != nullptr ? machine_.external_cache_
@@ -889,17 +874,6 @@ void Engine::check_no_deadlock() const {
   }
   describe(machine_domain_, "machine");
   throw DeadlockError(msg);
-}
-
-/// THE single trace-emission path: every scheduled event is constructed
-/// once at its call site and routed here, to the legacy RunReport::trace
-/// collector (MachineConfig::record_trace — a compatibility shim with the
-/// exact semantics of telemetry::CollectingSink) and to the attached
-/// observer's trace hook.  Call sites guard on `trace_` so the detached
-/// hot path never constructs a TraceEvent.
-void Engine::emit_trace(const TraceEvent& event) {
-  if (machine_.config_.record_trace) report_.trace.push_back(event);
-  if (observer_traces_) machine_.observer_->on_trace_event(event);
 }
 
 /// Batched resume: visit ONLY the lanes flagged since the last round
@@ -1221,7 +1195,7 @@ void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
   requeue(s, w);
 
   if (trace_) {
-    emit_trace(TraceEvent{
+    machine_.observer_->on_trace_event(TraceEvent{
         .kind = TraceEvent::Kind::kMemory,
         .warp = w.id,
         .dmm = w.dmm,
@@ -1277,7 +1251,7 @@ void Engine::compute_round(Shard& s, WarpState& w) {
   requeue(s, w);
 
   if (trace_) {
-    emit_trace(TraceEvent{
+    machine_.observer_->on_trace_event(TraceEvent{
         .kind = TraceEvent::Kind::kCompute,
         .warp = w.id,
         .dmm = w.dmm,
@@ -1383,7 +1357,7 @@ void Engine::release(Shard& s, BarrierDomain& domain) {
     // release (coordinator-only) fans warps back out to their shards.
     requeue(shard_for(w.dmm), w);
     if (trace_) {
-      emit_trace(TraceEvent{
+      machine_.observer_->on_trace_event(TraceEvent{
           .kind = TraceEvent::Kind::kBarrier,
           .warp = w.id,
           .dmm = w.dmm,
@@ -1538,11 +1512,10 @@ void Engine::record_memory_slot(Shard& sh, WarpTracker& t, const WarpState& w,
 ///
 /// Exactness (see the WarpTracker comment): the block keeps extending
 /// while EITHER every resource the period touches is private to this
-/// warp (exclusive regime — sole warp of its DMM, DMM-local slots, no
-/// trace consumer), OR the next round would have been the very next
-/// queue pop anyway (horizon regime).  Otherwise the round is requeued
-/// and the block ends after a single replayed round, exactly like the
-/// ordinary event loop.
+/// warp (exclusive regime — sole warp of its DMM, DMM-local slots), OR
+/// the next round would have been the very next queue pop anyway
+/// (horizon regime).  Otherwise the round is requeued and the block ends
+/// after a single replayed round, exactly like the ordinary event loop.
 void Engine::replay_rounds(Shard& s, WarpState& w, WarpTracker& t) {
   w.flagged = 0;
   // Clear the resume marks once for the whole block instead of once per
@@ -1558,7 +1531,7 @@ void Engine::replay_rounds(Shard& s, WarpState& w, WarpTracker& t) {
       base_ts[lanes[k]].need_resume = false;
     }
   }
-  const bool exclusive_fuse = w.exclusive && t.local_only && !trace_;
+  const bool exclusive_fuse = w.exclusive && t.local_only;
   for (;;) {
     switch (try_replay_round(s, w, t)) {
       case ReplayResult::kBailed:
@@ -1599,8 +1572,8 @@ void Engine::replay_rounds(Shard& s, WarpState& w, WarpTracker& t) {
 /// resumes ARE the computation), but the freshly posted ops are checked
 /// against the slot in one fused pass and the recorded pricing is applied
 /// directly: no batch build, no profiling, no service().  Everything the
-/// slow path would have done to timing, memory, traffic and trace happens
-/// here with identical values (returns true), or the round bails out and
+/// slow path would have done to timing, memory and traffic happens here
+/// with identical values (returns true), or the round bails out and
 /// is re-serviced by the ordinary path (returns false; lanes stay
 /// resumed, their ops are intact).  The caller owns lane flags and
 /// requeueing.
@@ -1786,19 +1759,6 @@ Engine::ReplayResult Engine::try_replay_round(Shard& sh, WarpState& w,
       const PipelineSlot ps = port.pipeline.inject(issue, s.stages, s.nreq);
       for (const std::int32_t b : s.banks) mem.add_bank_traffic(b, 1);
       w.clock = ps.data_ready;
-      if (trace_) {
-        emit_trace(TraceEvent{
-            .kind = TraceEvent::Kind::kMemory,
-            .warp = w.id,
-            .dmm = w.dmm,
-            .space = s.space,
-            .requests = s.nreq,
-            .stages = s.stages,
-            .begin = ps.inject_begin,
-            .end = ps.inject_end,
-            .ready = ps.data_ready,
-        });
-      }
       break;
     }
 
@@ -1830,16 +1790,6 @@ Engine::ReplayResult Engine::try_replay_round(Shard& sh, WarpState& w,
       const Cycle begin =
           exec_[static_cast<std::size_t>(w.dmm)].acquire(w.clock, s.cycles);
       w.clock = begin + s.cycles;
-      if (trace_) {
-        emit_trace(TraceEvent{
-            .kind = TraceEvent::Kind::kCompute,
-            .warp = w.id,
-            .dmm = w.dmm,
-            .begin = begin,
-            .end = w.clock - 1,
-            .ready = w.clock,
-        });
-      }
       break;
     }
 

@@ -101,12 +101,6 @@ struct MachineConfig {
   /// memory; otherwise exactly one entry per DMM, inactive entries for
   /// local DMMs).
   std::vector<DmmLink> links;
-  /// Collect the full event stream into RunReport::trace.  Compatibility
-  /// shim over the sink API: the engine feeds one emission path, and this
-  /// flag is exactly "a telemetry::CollectingSink owned by the report" —
-  /// unbounded, O(run length) memory.  Production-scale traced runs
-  /// should attach a telemetry::RingBufferSink instead (O(capacity)).
-  bool record_trace = false;
   /// Bump-allocate coroutine frames from a per-run FrameArena (default).
   /// Off restores the pre-arena behaviour — every frame from global
   /// new/delete — and exists for A/B measurement
@@ -130,9 +124,9 @@ struct MachineConfig {
   /// "inherit the calling thread's default" (see
   /// Machine::set_thread_engine_threads), which itself defaults to 1.
   /// The effective count is clamped to the number of DMMs, and to 1
-  /// whenever an observer is attached or record_trace is set — the
-  /// serial-order event stream is only produced by the serial loop
-  /// (same contract as fast-forward replay disabling under observers).
+  /// whenever an observer is attached — the serial-order event stream is
+  /// only produced by the serial loop (same contract as fast-forward
+  /// replay disabling under observers).
   std::int64_t threads = 0;
 };
 
@@ -144,15 +138,12 @@ class Machine {
 
   // ---- factories for the three paper models ---------------------------
   static Machine dmm(std::int64_t width, Cycle latency,
-                     std::int64_t num_threads, std::int64_t memory_size,
-                     bool record_trace = false);
+                     std::int64_t num_threads, std::int64_t memory_size);
   static Machine umm(std::int64_t width, Cycle latency,
-                     std::int64_t num_threads, std::int64_t memory_size,
-                     bool record_trace = false);
+                     std::int64_t num_threads, std::int64_t memory_size);
   static Machine hmm(std::int64_t width, Cycle global_latency,
                      std::int64_t num_dmms, std::int64_t threads_per_dmm,
                      std::int64_t shared_size, std::int64_t global_size,
-                     bool record_trace = false,
                      Cycle shared_latency = 1);
 
   // ---- shape -----------------------------------------------------------

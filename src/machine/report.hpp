@@ -1,6 +1,7 @@
 // What a simulation run reports back: the makespan in the paper's time
-// units plus utilisation counters, (optionally) a full event trace and
-// (optionally) a telemetry metrics snapshot.
+// units plus utilisation counters and (optionally) a telemetry metrics
+// snapshot.  The event trace is not part of the report: attach a trace
+// sink (telemetry/sink.hpp) to observe it.
 #pragma once
 
 #include <optional>
@@ -137,8 +138,6 @@ struct RunReport {
 
   LinkStats link;  ///< interconnect traffic (zero on single-HMM machines)
 
-  std::vector<TraceEvent> trace;  ///< populated only when tracing
-
   /// Populated only when a telemetry::MetricsRegistry observed the run
   /// (cumulative over every run that registry has seen).
   std::optional<MetricsSnapshot> metrics;
@@ -158,7 +157,7 @@ struct RunReport {
            a.shared_pipelines == b.shared_pipelines && a.exec == b.exec &&
            a.barrier_releases == b.barrier_releases &&
            a.threads == b.threads && a.warps == b.warps &&
-           a.link == b.link && a.trace == b.trace && a.metrics == b.metrics;
+           a.link == b.link && a.metrics == b.metrics;
   }
 };
 

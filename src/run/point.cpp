@@ -1,7 +1,6 @@
 #include "run/point.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "alg/convolution.hpp"
 #include "alg/matmul.hpp"
@@ -10,7 +9,6 @@
 #include "alg/string_match.hpp"
 #include "alg/sum.hpp"
 #include "core/error.hpp"
-#include "machine/machine.hpp"
 
 namespace hmm::run {
 
@@ -34,33 +32,49 @@ class EngineThreadsScope {
   std::int64_t saved_;
 };
 
+// A non-trivial topology reaches the span drivers as a thread-local
+// MachineOverlay; trivial specs and plain flags take the untouched path.
+bool overlaid(const Point& o) {
+  return o.machine != nullptr && !o.machine->is_trivial();
+}
+
+std::optional<MachineOverlay> checked_overlay(const Point& o) {
+  require_machine_model(o.machine.get(), o.model);
+  if (!overlaid(o)) return std::nullopt;
+  return o.machine->overlay();
+}
+
+std::int64_t checked_threads_per_dmm(const Point& o) {
+  if (o.model != "hmm") return 0;
+  if (overlaid(o)) return o.machine->max_threads_per_dmm();
+  if (o.p % o.d != 0 || o.p < o.d) {
+    throw PreconditionError("--p must be a positive multiple of --d");
+  }
+  return o.p / o.d;
+}
+
 }  // namespace
+
+void require_machine_model(const topo::TopologySpec* machine,
+                           const std::string& model) {
+  if (machine != nullptr && !machine->is_trivial() && model != "hmm") {
+    throw PreconditionError(
+        "--machine topologies with per-DMM overrides or links require the "
+        "hmm model");
+  }
+}
+
+PointShape::PointShape(const Point& point)
+    : overlay_(checked_overlay(point)),
+      scope_(overlay_ ? &*overlay_ : nullptr),
+      threads_per_dmm_(checked_threads_per_dmm(point)) {}
 
 PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
                        EngineObserver* observer) {
   const EngineThreadsScope threads_scope(o.threads);
   const bool hmm_model = o.model == "hmm";
-  // A non-trivial topology reaches the span drivers as a thread-local
-  // MachineOverlay (trivial specs and plain flags take the untouched
-  // path).  The drivers' shared-size formulas are nondecreasing in the
-  // per-DMM thread count, so sizing them for the LARGEST DMM — with the
-  // overlay's per-DMM minima applied on top — gives every kernel the
-  // room it expects on a heterogeneous machine.
-  const bool overlaid = o.machine != nullptr && !o.machine->is_trivial();
-  if (overlaid && !hmm_model) {
-    throw PreconditionError(
-        "--machine topologies with per-DMM overrides or links require the "
-        "hmm model");
-  }
-  std::optional<MachineOverlay> overlay;
-  if (overlaid) overlay.emplace(o.machine->overlay());
-  const MachineOverlayScope overlay_scope(overlay ? &*overlay : nullptr);
-
-  const std::int64_t pd = overlaid ? o.machine->max_threads_per_dmm()
-                                   : (hmm_model ? o.p / o.d : 0);
-  if (hmm_model && !overlaid && (o.p % o.d != 0 || pd < 1)) {
-    throw PreconditionError("--p must be a positive multiple of --d");
-  }
+  const PointShape shape(o);
+  const std::int64_t pd = shape.threads_per_dmm();
 
   PointOutcome out;
   auto finish = [&](const RunReport& r, std::string summary) {

@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "alg/workload.hpp"
+#include "machine/machine.hpp"
 #include "machine/observer.hpp"
 #include "machine/topology_spec.hpp"
 
@@ -43,6 +45,39 @@ struct Point {
   /// drivers build the heterogeneous/multi-HMM machine.  Shared because
   /// every point of a sweep references one parsed spec across workers.
   std::shared_ptr<const topo::TopologySpec> machine;
+
+  friend bool operator==(const Point&, const Point&) = default;
+};
+
+/// Throws PreconditionError unless `machine` (null = the flat flags) can
+/// run on `model`: a non-trivial topology reshapes DMMs, which only the
+/// hmm model has.  The one copy of that rule, shared by grid admission
+/// (GridSpec::set_machine) and point execution (PointShape).
+void require_machine_model(const topo::TopologySpec* machine,
+                           const std::string& model);
+
+/// The machine shape every driver of `point` builds: the per-DMM thread
+/// count its kernels are sized for (0 on the umm model) and, for a
+/// non-trivial topology, the MachineOverlay registered on the calling
+/// thread for this object's lifetime, so Machine::hmm builds the
+/// heterogeneous machine.  The drivers' shared-size formulas are
+/// nondecreasing in the per-DMM thread count, so an overlaid point is
+/// sized for its LARGEST DMM and the overlay's per-DMM minima apply on
+/// top.  Throws PreconditionError on an invalid shape (see
+/// require_machine_model; on the flat hmm model p must be a positive
+/// multiple of d).
+class PointShape {
+ public:
+  explicit PointShape(const Point& point);
+  PointShape(const PointShape&) = delete;
+  PointShape& operator=(const PointShape&) = delete;
+
+  std::int64_t threads_per_dmm() const { return threads_per_dmm_; }
+
+ private:
+  std::optional<MachineOverlay> overlay_;
+  MachineOverlayScope scope_;
+  std::int64_t threads_per_dmm_;
 };
 
 /// What one executed point reports back.

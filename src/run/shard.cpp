@@ -5,6 +5,7 @@
 
 #include "core/error.hpp"
 #include "core/json.hpp"
+#include "run/sweep.hpp"
 
 namespace hmm::run {
 
@@ -88,6 +89,50 @@ bool parse_shard_spec(std::string_view spec, ShardPlan& plan) {
   plan.shard = shard;
   plan.shards = shards;
   return true;
+}
+
+void GridSpec::set_machine(std::shared_ptr<const topo::TopologySpec> spec) {
+  require_machine_model(spec.get(), model);
+  p = {spec->total_threads()};
+  w = {spec->width};
+  l = {spec->global_latency};
+  d = {spec->total_dmms()};
+  // Only a topology the engine can OBSERVE joins the fingerprint: a
+  // trivial spec is the same machine as its flags, so it hashes the same.
+  machine = spec->is_trivial() ? std::string() : spec->canonical();
+  topology = std::move(spec);
+}
+
+std::vector<Point> GridSpec::expand(std::int64_t threads,
+                                    std::int64_t jobs) const {
+  std::vector<Point> grid;
+  grid.reserve(static_cast<std::size_t>(points()));
+  for (const std::int64_t pn : n)
+    for (const std::int64_t pm : m)
+      for (const std::int64_t pp : p)
+        for (const std::int64_t pw : w)
+          for (const std::int64_t pl : l)
+            for (const std::int64_t pdmm : d) {
+              Point point;
+              point.algorithm = algorithm;
+              point.model = model;
+              point.n = pn;
+              point.m = pm;
+              point.p = pp;
+              point.w = pw;
+              point.l = pl;
+              point.d = pdmm;
+              point.seed = seed;
+              point.fast_forward = fast_forward;
+              point.machine = topology;
+              grid.push_back(std::move(point));
+            }
+  // --threads is runner-local like --jobs: resolved once for the whole
+  // grid, never part of the identity, the rows or the fingerprint.
+  const std::int64_t engine_threads =
+      resolve_engine_threads(threads, grid.size() > 1 ? jobs : 1);
+  for (Point& point : grid) point.threads = engine_threads;
+  return grid;
 }
 
 std::int64_t GridSpec::points() const {

@@ -5,10 +5,14 @@
 //
 // The pieces:
 //
-//   GridSpec   — the sweep's identity: algorithm, model, the six axis
-//                value lists, seed and the metrics flag.  Everything
-//                that determines the CSV rows (and nothing that does
-//                not: `--jobs` is a runner-local choice).  Its
+//   GridSpec   — THE sweep grid of every frontend (hmmsim flags, the
+//                hmmsimd run request, manifests): algorithm, model, the
+//                six axis value lists, seed and the row flags.  Its
+//                `expand()` is the one row-major (n, m, p, w, l, d)
+//                expansion into run::Points, so grid index i names the
+//                same operating point everywhere.  Its identity is
+//                everything that determines the CSV rows (and nothing
+//                that does not: `--jobs` is a runner-local choice); the
 //                `fingerprint()` — FNV-1a 64 over a canonical rendering
 //                — tags every manifest and every sharded CSV row, so a
 //                merge can prove all inputs came from the same grid.
@@ -30,9 +34,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "machine/topology_spec.hpp"
+#include "run/point.hpp"
 
 namespace hmm::run {
 
@@ -84,9 +92,28 @@ struct GridSpec {
   /// input, not grid identity: NOT part of canonical() (two paths to the
   /// same document fingerprint identically via `machine`).
   std::string machine_path;
+  /// The resolved topology every expanded point carries (set_machine);
+  /// null for plain flags.  Runner input like machine_path: `machine`
+  /// is its identity.
+  std::shared_ptr<const topo::TopologySpec> topology;
+
+  /// Adopt a declarative machine (--machine=FILE, a run request's
+  /// machine or preset): it REPLACES the p/w/l/d axes with the shape it
+  /// derives, records its digest in `machine` when non-trivial, and
+  /// rides on every expanded point.  Throws PreconditionError when a
+  /// non-trivial spec meets a model other than hmm
+  /// (run::require_machine_model).
+  void set_machine(std::shared_ptr<const topo::TopologySpec> spec);
 
   /// Total grid points (product of the six axis sizes).
   std::int64_t points() const;
+
+  /// The grid's points in row-major (n, m, p, w, l, d) order — index i
+  /// is ShardPlan grid index i and CSV row i.  Every point carries
+  /// `topology` and the engine thread count `threads` resolves to
+  /// against a `jobs`-wide sweep (run::resolve_engine_threads, applied
+  /// once for the grid; a single point is never clamped by `jobs`).
+  std::vector<Point> expand(std::int64_t threads, std::int64_t jobs) const;
 
   /// Canonical one-line rendering — the fingerprint input.  Stable
   /// across runs and processes by construction (no pointers, no

@@ -29,8 +29,11 @@ HelloFrame Client::connect(const Address& address) {
 }
 
 void Client::send(const Request& request) {
+  send_line(json::to_string(request_json(request)));
+}
+
+void Client::send_line(std::string line) {
   if (fd_ < 0) throw PreconditionError("client is not connected");
-  std::string line = json::to_string(request_json(request));
   line.push_back('\n');
   std::size_t sent = 0;
   while (sent < line.size()) {

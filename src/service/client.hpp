@@ -31,6 +31,10 @@ class Client {
   /// Write one request as an NDJSON line.  Throws on a closed socket.
   void send(const Request& request);
 
+  /// Write `line` (no newline) verbatim as one NDJSON line — any text,
+  /// including input the daemon must reject.  Throws on a closed socket.
+  void send_line(std::string line);
+
   /// Next line from the server, or nullopt on clean EOF.  Lines are
   /// returned verbatim (no newline) so callers can both parse them and
   /// count exact bytes.

@@ -172,37 +172,19 @@ Request request_from_json(const json::Value& v) {
   throw PreconditionError("unknown request type: " + type);
 }
 
-std::vector<run::Point> expand_grid(const RunRequest& request) {
-  std::vector<run::Point> grid;
-  grid.reserve(request.n.size() * request.m.size() * request.p.size() *
-               request.w.size() * request.l.size() * request.d.size());
-  for (std::int64_t n : request.n) {
-    for (std::int64_t m : request.m) {
-      for (std::int64_t p : request.p) {
-        for (std::int64_t w : request.w) {
-          for (std::int64_t l : request.l) {
-            for (std::int64_t d : request.d) {
-              run::Point point;
-              point.algorithm = request.algorithm;
-              point.model = request.model;
-              point.n = n;
-              point.m = m;
-              point.p = p;
-              point.w = w;
-              point.l = l;
-              point.d = d;
-              point.seed = request.seed;
-              point.fast_forward = request.fast_forward;
-              // Verbatim; the daemon re-resolves against its own core
-              // count and --jobs before running (server.cpp).
-              point.threads = request.threads;
-              grid.push_back(std::move(point));
-            }
-          }
-        }
-      }
-    }
-  }
+run::GridSpec grid_spec(const RunRequest& request) {
+  run::GridSpec grid;
+  grid.algorithm = request.algorithm;
+  grid.model = request.model;
+  grid.n = request.n;
+  grid.m = request.m;
+  grid.p = request.p;
+  grid.w = request.w;
+  grid.l = request.l;
+  grid.d = request.d;
+  grid.seed = request.seed;
+  grid.metrics = request.metrics;
+  grid.fast_forward = request.fast_forward;
   return grid;
 }
 

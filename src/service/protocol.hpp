@@ -14,10 +14,11 @@
 // json::Value objects serialised with json::to_string, and every frame
 // type parses back into an identical struct (frame_from_json; locked by
 // tests/service_test.cpp).  A run request carries the hmmsim sweep
-// vocabulary verbatim — per-axis value LISTS expanded to the row-major
-// cartesian grid by expand_grid, exactly the CLI's order — and each
-// result frame carries the finished sweep-CSV row for its grid point, so
-// `hmmsim --connect` output is byte-identical to a local `--csv` run by
+// vocabulary verbatim — per-axis value LISTS that grid_spec turns into
+// the same run::GridSpec the CLI builds, so both expand through
+// GridSpec::expand in one row-major order — and each result frame
+// carries the finished sweep-CSV row for its grid point, so `hmmsim
+// --connect` output is byte-identical to a local `--csv` run by
 // construction.
 #pragma once
 
@@ -29,6 +30,7 @@
 #include "core/json.hpp"
 #include "machine/report.hpp"
 #include "run/point.hpp"
+#include "run/shard.hpp"
 #include "service/stats.hpp"
 
 namespace hmm::service {
@@ -106,10 +108,13 @@ json::Value request_json(const Request& request);
 /// non-positive axis values (mirrors the CLI's hardened parse_list).
 Request request_from_json(const json::Value& v);
 
-/// The request's cartesian grid in row-major (n, m, p, w, l, d) order —
-/// the exact expansion hmmsim performs, so grid_index i here names the
-/// same operating point as row i of the local sweep.
-std::vector<run::Point> expand_grid(const RunRequest& request);
+/// The request's sweep grid: the same run::GridSpec the equivalent
+/// hmmsim flags build (analyze is CLI-only and stays off), so
+/// GridSpec::expand gives grid_index i the operating point of row i of
+/// the local sweep.  The machine topology is resolved by the daemon
+/// (presets live in its --machines directory) and adopted with
+/// GridSpec::set_machine.
+run::GridSpec grid_spec(const RunRequest& request);
 
 // ---- frames (server -> client) ------------------------------------------
 

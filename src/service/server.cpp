@@ -17,7 +17,6 @@
 #include "machine/machine.hpp"
 #include "machine/topology_spec.hpp"
 #include "report/sweep_csv.hpp"
-#include "run/sweep.hpp"
 #include "telemetry/fanout.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/ndjson.hpp"
@@ -380,41 +379,22 @@ void Server::enqueue_run(const ConnectionPtr& conn, RunRequest request) {
     return;
   }
   // A declarative topology replaces the flat p/w/l/d axes: the spec is
-  // resolved ONCE at admission (bad presets and malformed documents are
-  // error frames, not queue entries) and its derived shape overwrites
-  // those axes before grid expansion, exactly as `hmmsim --machine` does
-  // locally.
-  std::shared_ptr<const topo::TopologySpec> machine;
+  // resolved ONCE at admission (bad presets, malformed documents and
+  // topologies off the hmm model are error frames, not queue entries),
+  // exactly as `hmmsim --machine` does locally.  The request ships the
+  // client's --threads verbatim; expansion re-resolves it against THIS
+  // daemon's cores and --jobs fan-out (same clamp the CLI applies).
+  QueuedRun job;
+  job.conn = conn;
   try {
-    machine = resolve_machine(request, config_.machines_dir);
+    run::GridSpec grid = grid_spec(request);
+    if (auto machine = resolve_machine(request, config_.machines_dir)) {
+      grid.set_machine(std::move(machine));
+    }
+    job.grid = grid.expand(request.threads, config_.jobs);
   } catch (const std::exception& e) {
     reject(e.what());
     return;
-  }
-  if (machine != nullptr) {
-    if (!machine->is_trivial() && request.model != "hmm") {
-      reject("machine topologies with per-DMM overrides or links require "
-             "the hmm model");
-      return;
-    }
-    request.p = {machine->total_threads()};
-    request.w = {machine->width};
-    request.l = {machine->global_latency};
-    request.d = {machine->total_dmms()};
-  }
-  QueuedRun job;
-  job.conn = conn;
-  job.grid = expand_grid(request);
-  for (run::Point& point : job.grid) point.machine = machine;
-  // The request ships the client's --threads verbatim; admission is
-  // where the daemon re-resolves it against ITS core count and --jobs
-  // fan-out (same clamp the CLI applies locally).  Bit-identical rows
-  // either way — the clamp only affects speed.
-  {
-    const std::int64_t engine_threads = run::resolve_engine_threads(
-        request.threads,
-        job.grid.size() > 1 ? static_cast<std::int64_t>(config_.jobs) : 1);
-    for (run::Point& point : job.grid) point.threads = engine_threads;
   }
   job.request = std::move(request);
   const std::int64_t grid_points =

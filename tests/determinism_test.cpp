@@ -3,10 +3,12 @@
 // reuse, stamped batch pricing, SweepRunner pool) must not change a
 // single field — repeated runs and sweeps at thread counts 1, 2 and 8
 // have to agree byte for byte (RunReport::operator== compares every
-// counter, pipeline stat and trace event).
+// counter and pipeline stat; traced runs also compare the event stream a
+// telemetry::CollectingSink collects).
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "alg/convolution.hpp"
@@ -19,6 +21,7 @@
 #include "machine/machine.hpp"
 #include "run/sweep.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/sink.hpp"
 
 namespace hmm {
 namespace {
@@ -40,13 +43,17 @@ TEST(Determinism, RepeatedRunsProduceIdenticalReports) {
 TEST(Determinism, TracedRunsProduceIdenticalTraces) {
   const std::int64_t n = 1 << 10;
   const auto xs = alg::random_words(n, 3);
-  Machine m = Machine::hmm(32, 100, 2, 64, 64, n + 2, /*record_trace=*/true);
+  Machine m = Machine::hmm(32, 100, 2, 64, 64, n + 2);
+  telemetry::CollectingSink trace;
+  m.set_observer(&trace);
   m.global_memory().load(0, xs);
 
   const RunReport first = alg::sum_hmm(m, n).report;
+  const std::vector<TraceEvent> first_events = trace.events();
   const RunReport again = alg::sum_hmm(m, n).report;
-  ASSERT_FALSE(first.trace.empty());
+  ASSERT_FALSE(first_events.empty());
   EXPECT_EQ(first, again);
+  EXPECT_EQ(first_events, trace.events());
 }
 
 TEST(Determinism, FreshMachinesProduceIdenticalReports) {
@@ -66,12 +73,20 @@ TEST(Determinism, FreshMachinesProduceIdenticalReports) {
 // the same report for every grid point, in the same order.
 TEST(Determinism, SweepReportsIdenticalAcrossThreadCounts) {
   std::vector<run::SweepJob> jobs;
+  // Every other grid point is traced, one sink per job (jobs run
+  // concurrently); each sink holds the trace of its job's latest run.
+  std::vector<telemetry::CollectingSink> traces(12);
+  const auto events = [&] {
+    std::vector<std::vector<TraceEvent>> out;
+    for (const auto& t : traces) out.push_back(t.events());
+    return out;
+  };
   for (std::int64_t g = 0; g < 12; ++g) {
     run::SweepJob job;
     job.config.width = 16;
     job.config.threads_per_dmm = {32 + 16 * (g % 3)};
     job.config.global = MemorySpec{1 << 12, 50 + 25 * (g % 4)};
-    job.config.record_trace = (g % 2) == 0;
+    if (g % 2 == 0) job.observer = &traces[static_cast<std::size_t>(g)];
     job.kernel = [](ThreadCtx& t) -> SimTask {
       Word acc = 0;
       for (int i = 0; i < 4; ++i) {
@@ -87,9 +102,12 @@ TEST(Determinism, SweepReportsIdenticalAcrossThreadCounts) {
 
   const std::vector<RunReport> serial = run::SweepRunner(1).run(jobs);
   ASSERT_EQ(serial.size(), jobs.size());
+  const auto serial_events = events();
+  ASSERT_FALSE(serial_events.front().empty());
   for (const std::int64_t threads : {2, 8}) {
     const std::vector<RunReport> pooled = run::SweepRunner(threads).run(jobs);
     ASSERT_EQ(pooled.size(), serial.size());
+    EXPECT_EQ(serial_events, events()) << threads << " threads";
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i], pooled[i])
           << "grid point " << i << " at " << threads << " threads";
@@ -212,14 +230,17 @@ TEST(FastForwardEquivalence, TracedRunsMatchEventForEvent) {
   const std::int64_t n = 1 << 10;
   const auto xs = alg::random_words(n, 7);
   auto run = [&](bool ff) {
-    Machine m = Machine::hmm(32, 100, 2, 64, 64, n + 2, /*record_trace=*/true);
+    Machine m = Machine::hmm(32, 100, 2, 64, 64, n + 2);
+    telemetry::CollectingSink trace;
+    m.set_observer(&trace);
     m.set_fast_forward(ff);
     m.global_memory().load(0, xs);
-    return alg::sum_hmm(m, n).report;
+    const RunReport report = alg::sum_hmm(m, n).report;
+    return std::pair{report, trace.events()};
   };
-  const RunReport on = run(true);
-  const RunReport off = run(false);
-  ASSERT_FALSE(on.trace.empty());
+  const auto on = run(true);
+  const auto off = run(false);
+  ASSERT_FALSE(on.second.empty());
   EXPECT_EQ(on, off);
 }
 

@@ -5,6 +5,7 @@
 #include "alg/device.hpp"
 #include "alg/workload.hpp"
 #include "machine/machine.hpp"
+#include "telemetry/sink.hpp"
 
 namespace hmm {
 namespace {
@@ -118,7 +119,9 @@ TEST(Barrier, ThreadsThatExitEarlyDoNotBlockTheRest) {
 TEST(Barrier, ReleaseWaitsForTheSlowestWarp) {
   // Warp 0 computes 100 cycles before the barrier; warp 1 arrives
   // immediately.  Both must leave at warp 0's arrival time.
-  Machine m = Machine::dmm(4, 1, 8, 16, /*record_trace=*/true);
+  Machine m = Machine::dmm(4, 1, 8, 16);
+  telemetry::CollectingSink trace;
+  m.set_observer(&trace);
   const auto r = m.run([](ThreadCtx& t) -> SimTask {
     if (t.warp_id() == 0) co_await t.compute(100);
     co_await t.barrier();
@@ -130,8 +133,10 @@ TEST(Barrier, ReleaseWaitsForTheSlowestWarp) {
 }
 
 TEST(Trace, RecordsInjectionsWithFig4Arithmetic) {
-  Machine m = Machine::umm(4, 5, 8, 64, /*record_trace=*/true);
-  const auto r = m.run([](ThreadCtx& t) -> SimTask {
+  Machine m = Machine::umm(4, 5, 8, 64);
+  telemetry::CollectingSink trace;
+  m.set_observer(&trace);
+  m.run([](ThreadCtx& t) -> SimTask {
     // Warp 0 reads stride-4 (4 groups); warp 1 reads coalesced (1 group).
     if (t.warp_id() == 0) {
       co_await t.read(MemorySpace::kGlobal, t.lane() * 4);
@@ -140,7 +145,7 @@ TEST(Trace, RecordsInjectionsWithFig4Arithmetic) {
     }
   });
   std::vector<TraceEvent> mem;
-  for (const auto& e : r.trace) {
+  for (const auto& e : trace.events()) {
     if (e.kind == TraceEvent::Kind::kMemory) mem.push_back(e);
   }
   ASSERT_EQ(mem.size(), 2u);
@@ -206,9 +211,16 @@ TEST(WarpSync, MixedWithBarrierIsDiagnosed) {
 }
 
 TEST(Trace, DisabledByDefault) {
+  // The trace channel is opt-in per observer: one that does not ask for
+  // TraceEvents never receives any.
+  struct Silent final : EngineObserver {
+    std::int64_t events = 0;
+    void on_trace_event(const TraceEvent&) override { ++events; }
+  } silent;
   Machine m = Machine::dmm(4, 1, 4, 16);
-  const auto r = m.run([](ThreadCtx& t) -> SimTask { co_await t.compute(); });
-  EXPECT_TRUE(r.trace.empty());
+  m.set_observer(&silent);
+  m.run([](ThreadCtx& t) -> SimTask { co_await t.compute(); });
+  EXPECT_EQ(silent.events, 0);
 }
 
 }  // namespace

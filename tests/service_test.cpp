@@ -227,7 +227,9 @@ TEST(ServiceProtocol, ExpandGridIsRowMajor) {
   run.algorithm = "sum";
   run.n = {1, 2};
   run.l = {10, 20};
-  const std::vector<run::Point> grid = service::expand_grid(run);
+  run.metrics = true;
+  const run::GridSpec spec = service::grid_spec(run);
+  const std::vector<run::Point> grid = spec.expand(run.threads, 1);
   ASSERT_EQ(grid.size(), 4u);
   EXPECT_EQ(grid[0].n, 1);
   EXPECT_EQ(grid[0].l, 10);
@@ -237,6 +239,22 @@ TEST(ServiceProtocol, ExpandGridIsRowMajor) {
   EXPECT_EQ(grid[2].l, 10);
   EXPECT_EQ(grid[3].n, 2);
   EXPECT_EQ(grid[3].l, 20);
+
+  // `hmmsim sum --n 1,2 --l 10,20 --metrics` builds this grid (run::Point
+  // defaults on the other axes): the same spec, fingerprint and points.
+  const run::Point defaults;
+  run::GridSpec cli;
+  cli.algorithm = "sum";
+  cli.n = {1, 2};
+  cli.m = {defaults.m};
+  cli.p = {defaults.p};
+  cli.w = {defaults.w};
+  cli.l = {10, 20};
+  cli.d = {defaults.d};
+  cli.metrics = true;
+  EXPECT_EQ(cli, spec);
+  EXPECT_EQ(cli.fingerprint(), spec.fingerprint());
+  EXPECT_EQ(cli.expand(1, 1), grid);
 }
 
 TEST(ServiceProtocol, TraceEventRoundTripsEveryKindAndSpace) {
@@ -487,6 +505,50 @@ TEST(Service, DrainingServerRejectsNewRunsAndFinishesQueuedWork) {
   EXPECT_EQ(stats.requests_completed, 1);
   EXPECT_EQ(stats.requests_rejected, 1);
   EXPECT_TRUE(stats.draining);
+}
+
+TEST(Service, DeeplyNestedLineGetsAnErrorFrameAndServingContinues) {
+  service::ServerConfig config;
+  config.listen = service::parse_address(
+      "unix:/tmp/hmmsvc_deep_" + std::to_string(::getpid()) + ".sock");
+  service::Server server(config);
+  server.start();
+  std::thread serve([&] { server.serve(); });
+
+  // 200k nested arrays on one line: parsing recursion past
+  // json::kMaxDepth must be an error frame, not a stack overflow.
+  service::Client hostile;
+  hostile.connect(config.listen);
+  hostile.send_line(std::string(200000, '[') + std::string(200000, ']'));
+  const auto next = [](service::Client& client) {
+    for (;;) {
+      auto frame = client.read_frame();
+      if (!frame || !std::holds_alternative<service::HeartbeatFrame>(*frame)) {
+        return frame;
+      }
+    }
+  };
+  auto frame = next(hostile);
+  ASSERT_TRUE(frame.has_value()) << "daemon closed the connection";
+  const auto* error = std::get_if<service::ErrorFrame>(&*frame);
+  ASSERT_NE(error, nullptr);
+  EXPECT_NE(error->message.find("nesting"), std::string::npos);
+
+  // The same connection and a new one are both still served.
+  hostile.send(service::PingRequest{"p"});
+  frame = next(hostile);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_TRUE(std::holds_alternative<service::PongFrame>(*frame));
+  service::Client other;
+  other.connect(config.listen);
+  other.send(service::DrainRequest{"d"});
+  for (;;) {
+    frame = other.read_frame();
+    ASSERT_TRUE(frame.has_value()) << "connection closed before bye";
+    if (std::holds_alternative<service::ByeFrame>(*frame)) break;
+  }
+  serve.join();
+  EXPECT_EQ(server.stats_snapshot().requests_rejected, 1);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit coverage for cross-process sweep sharding: the round-robin
-// ShardPlan partition, the GridSpec fingerprint, manifest JSON
+// ShardPlan partition, the GridSpec expansion and fingerprint, manifest JSON
 // emit/parse round trips, the core/json.hpp parser it rides on, and the
 // shared sweep CSV schema (report/sweep_csv.hpp).  The process-level
 // behaviour (2-shard merge == single-process --csv, merge exit codes)
@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/json.hpp"
+#include "machine/topology_spec.hpp"
 #include "report/sweep_csv.hpp"
 #include "run/shard.hpp"
+#include "run/sweep.hpp"
 
 namespace hmm {
 namespace {
@@ -134,6 +138,75 @@ TEST(GridSpec, FingerprintIsStableAndSensitive) {
   other = spec;
   other.algorithm = "sort";
   EXPECT_NE(other.fingerprint(), spec.fingerprint());
+}
+
+TEST(GridSpec, ExpandIsRowMajorAndIndexedLikeShardPlans) {
+  const GridSpec spec = small_spec();
+  const std::vector<run::Point> points = spec.expand(/*threads=*/5,
+                                                     /*jobs=*/4);
+  ASSERT_EQ(static_cast<std::int64_t>(points.size()), spec.points());
+
+  // Every shard's grid index g names the row-major point: d varies
+  // fastest, n slowest (m, p, w are single-valued here).
+  const std::int64_t shards = 3;
+  std::set<std::int64_t> seen;
+  for (std::int64_t s = 0; s < shards; ++s) {
+    for (const std::int64_t g : ShardPlan{s, shards}.indices(spec.points())) {
+      const run::Point& pt = points[static_cast<std::size_t>(g)];
+      EXPECT_EQ(pt.d, spec.d[static_cast<std::size_t>(g % 2)]) << g;
+      EXPECT_EQ(pt.l, spec.l[static_cast<std::size_t>(g / 2 % 2)]) << g;
+      EXPECT_EQ(pt.n, spec.n[static_cast<std::size_t>(g / 4)]) << g;
+      EXPECT_EQ(pt.m, 32);
+      EXPECT_EQ(pt.p, 2048);
+      EXPECT_EQ(pt.w, 32);
+      EXPECT_EQ(pt.algorithm, "sum");
+      EXPECT_EQ(pt.model, "hmm");
+      EXPECT_EQ(pt.seed, 1u);
+      EXPECT_TRUE(pt.fast_forward);
+      EXPECT_EQ(pt.machine, nullptr);
+      // --threads resolves once for the whole grid, against --jobs.
+      EXPECT_EQ(pt.threads, run::resolve_engine_threads(5, 4));
+      seen.insert(g);
+    }
+  }
+  EXPECT_EQ(static_cast<std::int64_t>(seen.size()), spec.points());
+
+  // A single point is never clamped by the sweep fan-out.
+  GridSpec one = spec;
+  one.n = {4096};
+  one.l = {100};
+  one.d = {4};
+  EXPECT_EQ(one.expand(5, 1000).front().threads, 5);
+}
+
+TEST(GridSpec, SetMachineReplacesTheShapeAxes) {
+  const auto spec = std::make_shared<const topo::TopologySpec>(
+      topo::parse_topology_text(R"({"hmms": [
+        {"dmms": 2, "threads_per_dmm": 64,
+         "dmm_overrides": [{"dmm": 1, "threads": 32}]}]})",
+                                "<test>"));
+  GridSpec grid = small_spec();
+  grid.set_machine(spec);
+  EXPECT_EQ(grid.p, (std::vector<std::int64_t>{spec->total_threads()}));
+  EXPECT_EQ(grid.w, (std::vector<std::int64_t>{spec->width}));
+  EXPECT_EQ(grid.l, (std::vector<std::int64_t>{spec->global_latency}));
+  EXPECT_EQ(grid.d, (std::vector<std::int64_t>{2}));
+  EXPECT_EQ(grid.machine, spec->canonical());
+  EXPECT_NE(grid.fingerprint(), small_spec().fingerprint());
+  for (const run::Point& pt : grid.expand(1, 1)) {
+    EXPECT_EQ(pt.machine, spec);  // every point shares the parsed spec
+  }
+
+  // A trivial spec is its flags: same shape, no digest.
+  GridSpec flat = small_spec();
+  flat.set_machine(std::make_shared<const topo::TopologySpec>(
+      topo::synthesize_topology("machine", 2048, 32, 400, 16)));
+  EXPECT_TRUE(flat.machine.empty());
+
+  // Per-DMM overrides need DMMs: the umm model rejects the spec.
+  GridSpec umm = small_spec();
+  umm.model = "umm";
+  EXPECT_THROW(umm.set_machine(spec), PreconditionError);
 }
 
 TEST(GridSpec, FnvVector) {

@@ -2,10 +2,11 @@
 // sharded across N workers and the globally-coupled rounds (global
 // memory, machine-scope barriers, warp finishes) are merged in serial
 // pop order, so a threaded run must be BIT-IDENTICAL to the serial
-// engine — RunReport::operator== compares every counter, pipeline stat
-// and trace event.  These tests lock that contract across every span
-// driver, the fast-forward replay path, the per-worker resource
-// registry, and the watchdog's cross-worker aggregation.
+// engine — RunReport::operator== compares every counter and pipeline
+// stat, and traced runs compare their collected event streams too.
+// These tests lock that contract across every span driver, the
+// fast-forward replay path, the per-worker resource registry, and the
+// watchdog's cross-worker aggregation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,6 +20,7 @@
 #include "run/point.hpp"
 #include "run/sweep.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/sink.hpp"
 
 namespace hmm {
 namespace {
@@ -26,9 +28,10 @@ namespace {
 // ---- full-report identity on the Machine API ----------------------------
 
 RunReport sum_report(std::int64_t threads, std::int64_t n, bool fast_forward,
-                     bool record_trace = false) {
+                     telemetry::CollectingSink* trace = nullptr) {
   const auto xs = alg::random_words(n, 11);
-  Machine m = Machine::hmm(32, 200, 8, 64, 64, n + 8, record_trace);
+  Machine m = Machine::hmm(32, 200, 8, 64, 64, n + 8);
+  m.set_observer(trace);
   m.set_engine_threads(threads);
   m.set_fast_forward(fast_forward);
   m.global_memory().load(0, xs);
@@ -55,13 +58,16 @@ TEST(ThreadedEngine, ThreadCountAboveDmmCountIsClamped) {
 }
 
 TEST(ThreadedEngine, TracedRunFallsBackToSerialOrder) {
-  // record_trace forces the serial loop (the event stream contract);
-  // the report — trace included — must match threads=1 exactly.
+  // A trace sink forces the serial loop (the event stream contract);
+  // the report and the trace must match threads=1 exactly.
   const std::int64_t n = 1 << 10;
-  const RunReport serial = sum_report(1, n, true, /*record_trace=*/true);
-  const RunReport threaded = sum_report(4, n, true, /*record_trace=*/true);
-  ASSERT_FALSE(serial.trace.empty());
+  telemetry::CollectingSink serial_trace;
+  telemetry::CollectingSink threaded_trace;
+  const RunReport serial = sum_report(1, n, true, &serial_trace);
+  const RunReport threaded = sum_report(4, n, true, &threaded_trace);
+  ASSERT_FALSE(serial_trace.events().empty());
   EXPECT_EQ(serial, threaded);
+  EXPECT_EQ(serial_trace.events(), threaded_trace.events());
 }
 
 TEST(ThreadedEngine, ObservedRunFallsBackToSerialOrder) {

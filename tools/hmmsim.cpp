@@ -57,55 +57,26 @@ using namespace hmm;
 
 namespace {
 
-/// One fully resolved operating point.
-struct Options {
-  std::string algorithm;
-  std::string model = "hmm";  // or "umm"
-  std::int64_t n = 1 << 16;
-  std::int64_t m = 32;
-  std::int64_t p = 2048;
-  std::int64_t w = 32;
-  std::int64_t l = 400;
-  std::int64_t d = 16;
-  std::uint64_t seed = 1;
-  std::int64_t threads = 1;  ///< resolved engine workers for this run
-  bool csv = false;
-  bool fast_forward = true;
-  /// Resolved --machine topology; null for flag runs.  Trivial specs
-  /// only set the flat axes above, so they take the untouched flag path.
-  std::shared_ptr<const topo::TopologySpec> machine;
-};
-
-/// The command line before grid expansion: each axis is a value list.
+/// The command line: the sweep grid plus the runner-local choices that
+/// never change a row.
 struct Cli {
-  std::string algorithm;
-  std::string model = "hmm";
-  std::vector<std::int64_t> n = {1 << 16};
-  std::vector<std::int64_t> m = {32};
-  std::vector<std::int64_t> p = {2048};
-  std::vector<std::int64_t> w = {32};
-  std::vector<std::int64_t> l = {400};
-  std::vector<std::int64_t> d = {16};
-  std::uint64_t seed = 1;
+  /// Algorithm, model, the six axis value lists, seed, the row flags
+  /// (--metrics, --fast-forward, --analyze) and the --machine file.
+  run::GridSpec grid;
   std::int64_t jobs = 1;
   std::int64_t threads = 1;  ///< --threads: engine workers inside one run
   bool csv = false;
-  bool fast_forward = true;                 ///< --fast-forward=on|off
   bool check = false;
   analysis::CheckerConfig check_cfg;
-  bool analyze = false;                     ///< --analyze[=plan,diff]
-  bool analyze_plan = false;
+  bool analyze_plan = false;                ///< --analyze[=plan,diff]
   bool analyze_diff = false;
   std::string trace_path;                   ///< empty: no trace export
   std::int64_t trace_capacity = 1 << 16;    ///< ring sink window (events)
-  bool metrics = false;
   bool metrics_csv = false;                 ///< --metrics=csv
   bool metrics_json = false;                ///< --metrics=json
   std::string connect;                      ///< --connect=ADDR: client mode
   std::int64_t telemetry = 0;               ///< --telemetry=N (connect only)
-  std::string machine_path;                 ///< --machine=FILE
   std::string machine_preset;               ///< --machine-preset=NAME (connect)
-  std::shared_ptr<const topo::TopologySpec> machine;  ///< resolved spec
   bool dry_run = false;                     ///< --dry-run: print + exit
   /// --p/--w/--l/--d given explicitly (a --machine file replaces these
   /// axes, so mixing the two spellings is a usage error, not a merge).
@@ -301,7 +272,16 @@ bool parse_list(const char* s, std::vector<std::int64_t>& out,
 
 bool parse(int argc, char** argv, Cli& cli) {
   if (argc < 2) return false;
-  cli.algorithm = argv[1];
+  run::GridSpec& grid = cli.grid;
+  grid.algorithm = argv[1];
+  // One value per axis (run::Point's defaults) until a flag lists more.
+  const run::Point defaults;
+  grid.n = {defaults.n};
+  grid.m = {defaults.m};
+  grid.p = {defaults.p};
+  grid.w = {defaults.w};
+  grid.l = {defaults.l};
+  grid.d = {defaults.d};
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* {
@@ -310,28 +290,28 @@ bool parse(int argc, char** argv, Cli& cli) {
     if (a == "--csv") {
       cli.csv = true;
     } else if (a == "--fast-forward=on") {
-      cli.fast_forward = true;
+      grid.fast_forward = true;
     } else if (a == "--fast-forward=off") {
-      cli.fast_forward = false;
+      grid.fast_forward = false;
     } else if (a.rfind("--fast-forward", 0) == 0) {
       // "--fast-forward" bare or with any other value is a usage error,
       // not a silently ignored axis name.
       return false;
     } else if (a == "--metrics" || a == "--metrics=table") {
-      cli.metrics = true;
+      grid.metrics = true;
       cli.metrics_csv = false;
     } else if (a == "--metrics=csv") {
-      cli.metrics = true;
+      grid.metrics = true;
       cli.metrics_csv = true;
     } else if (a == "--metrics=json") {
-      cli.metrics = true;
+      grid.metrics = true;
       cli.metrics_json = true;
     } else if (a.rfind("--connect=", 0) == 0) {
       cli.connect = a.substr(std::strlen("--connect="));
       if (cli.connect.empty()) return false;
     } else if (a.rfind("--machine=", 0) == 0) {
-      cli.machine_path = a.substr(std::strlen("--machine="));
-      if (cli.machine_path.empty()) return false;
+      grid.machine_path = a.substr(std::strlen("--machine="));
+      if (grid.machine_path.empty()) return false;
     } else if (a.rfind("--machine-preset=", 0) == 0) {
       cli.machine_preset = a.substr(std::strlen("--machine-preset="));
       if (cli.machine_preset.empty()) return false;
@@ -372,9 +352,9 @@ bool parse(int argc, char** argv, Cli& cli) {
       }
       cli.sharded = true;
     } else if (a == "--analyze") {
-      cli.analyze = cli.analyze_plan = cli.analyze_diff = true;
+      grid.analyze = cli.analyze_plan = cli.analyze_diff = true;
     } else if (a.rfind("--analyze=", 0) == 0) {
-      cli.analyze = true;
+      grid.analyze = true;
       if (!parse_analyze_modes(a.c_str() + std::strlen("--analyze="), cli)) {
         return false;
       }
@@ -389,17 +369,17 @@ bool parse(int argc, char** argv, Cli& cli) {
     } else if (a == "--model") {
       const char* v = next();
       if (!v) return false;
-      cli.model = v;
+      grid.model = v;
     } else {
       const char* v = next();
       if (!v) return false;
       std::vector<std::int64_t>* axis = nullptr;
-      if (a == "--n") axis = &cli.n;
-      else if (a == "--m") axis = &cli.m;
-      else if (a == "--p") { axis = &cli.p; cli.p_given = true; }
-      else if (a == "--w") { axis = &cli.w; cli.w_given = true; }
-      else if (a == "--l") { axis = &cli.l; cli.l_given = true; }
-      else if (a == "--d") { axis = &cli.d; cli.d_given = true; }
+      if (a == "--n") axis = &grid.n;
+      else if (a == "--m") axis = &grid.m;
+      else if (a == "--p") { axis = &grid.p; cli.p_given = true; }
+      else if (a == "--w") { axis = &grid.w; cli.w_given = true; }
+      else if (a == "--l") { axis = &grid.l; cli.l_given = true; }
+      else if (a == "--d") { axis = &grid.d; cli.d_given = true; }
       else if (a == "--seed" || a == "--jobs" || a == "--threads") {
         std::vector<std::int64_t> one;
         if (!parse_list(v, one, 0)) return false;
@@ -409,7 +389,7 @@ bool parse(int argc, char** argv, Cli& cli) {
           throw PreconditionError(a + " takes a single value, not a sweep "
                                       "list (got \"" + v + "\")");
         }
-        if (a == "--seed") cli.seed = static_cast<std::uint64_t>(one[0]);
+        if (a == "--seed") grid.seed = static_cast<std::uint64_t>(one[0]);
         else if (a == "--jobs") cli.jobs = one[0];
         else cli.threads = one[0];
       }
@@ -420,22 +400,22 @@ bool parse(int argc, char** argv, Cli& cli) {
   // A --machine file REPLACES the machine-shape axes; mixing the two
   // spellings would silently make one of them win, so it is a usage
   // error instead (docs/TOPOLOGY.md "Flags and JSON are one vocabulary").
-  if (!cli.machine_path.empty() &&
+  if (!grid.machine_path.empty() &&
       (cli.p_given || cli.w_given || cli.l_given || cli.d_given)) {
     return false;
   }
   // Presets live on the daemon: the name is meaningless locally, and a
   // preset already IS a machine description.
   if (!cli.machine_preset.empty() &&
-      (cli.connect.empty() || !cli.machine_path.empty())) {
+      (cli.connect.empty() || !grid.machine_path.empty())) {
     return false;
   }
   // --dry-run prints ONE machine document; sweep lists on the shape axes
   // have no single JSON equivalent, and client mode never simulates
   // locally anyway.
   if (cli.dry_run &&
-      (!cli.connect.empty() || cli.p.size() != 1 || cli.w.size() != 1 ||
-       cli.l.size() != 1 || cli.d.size() != 1)) {
+      (!cli.connect.empty() || grid.p.size() != 1 || grid.w.size() != 1 ||
+       grid.l.size() != 1 || grid.d.size() != 1)) {
     return false;
   }
   // --shards only modifies --emit-manifest, which in turn requires it;
@@ -445,51 +425,24 @@ bool parse(int argc, char** argv, Cli& cli) {
   if (!cli.emit_manifest_path.empty() && cli.sharded) return false;
   // --analyze and --check are distinct drivers with distinct exit-code
   // vocabularies; composing them would make a nonzero exit ambiguous.
-  if (cli.analyze && cli.check) return false;
+  if (grid.analyze && cli.check) return false;
   // Live telemetry streaming only exists on the service wire.
   if (cli.telemetry > 0 && cli.connect.empty()) return false;
   // Client mode ships the sweep vocabulary to the daemon; the local-only
   // drivers (checker, analyzer, trace export, sharding) stay local.
   if (!cli.connect.empty() &&
-      (cli.check || cli.analyze || !cli.trace_path.empty() || cli.sharded ||
+      (cli.check || grid.analyze || !cli.trace_path.empty() || cli.sharded ||
        !cli.emit_manifest_path.empty())) {
     return false;
   }
   // "dmm" is an analyze-only model: the shared-memory workloads
   // (transpose, permute) have no span driver in the sweep vocabulary.
-  if (cli.model == "dmm") return cli.analyze && cli.jobs >= 0;
-  return (cli.model == "umm" || cli.model == "hmm") && cli.jobs >= 0;
-}
-
-/// The sweep identity the manifest fingerprint covers (everything that
-/// determines the CSV rows; --jobs is runner-local and excluded).
-run::GridSpec grid_spec(const Cli& cli) {
-  run::GridSpec spec;
-  spec.algorithm = cli.algorithm;
-  spec.model = cli.model;
-  spec.n = cli.n;
-  spec.m = cli.m;
-  spec.p = cli.p;
-  spec.w = cli.w;
-  spec.l = cli.l;
-  spec.d = cli.d;
-  spec.seed = cli.seed;
-  spec.metrics = cli.metrics;
-  spec.fast_forward = cli.fast_forward;
-  spec.analyze = cli.analyze;
-  // Only a topology the engine can OBSERVE joins the fingerprint: a
-  // trivial spec is the same machine as its flags, so it hashes the same
-  // (and pre-topology fingerprints stay valid).  The file path is argv
-  // reconstruction material for shard runners, never identity.
-  if (cli.machine != nullptr && !cli.machine->is_trivial()) {
-    spec.machine = cli.machine->canonical();
-  }
-  spec.machine_path = cli.machine_path;
-  return spec;
+  if (grid.model == "dmm") return grid.analyze && cli.jobs >= 0;
+  return (grid.model == "umm" || grid.model == "hmm") && cli.jobs >= 0;
 }
 
 /// The static analyzer's operating point for one grid point.
-alg::PlanPoint plan_point(const Options& o) {
+alg::PlanPoint plan_point(const run::Point& o) {
   alg::PlanPoint point;
   point.algorithm = o.algorithm;
   point.model = o.model;
@@ -505,7 +458,7 @@ alg::PlanPoint plan_point(const Options& o) {
 
 /// The three static CSV columns for one sweep point; "none" when the
 /// (algorithm, model) pair has no registered plan twin (matmul, match).
-SweepStaticVerdict static_verdict_for(const Options& o) {
+SweepStaticVerdict static_verdict_for(const run::Point& o) {
   SweepStaticVerdict v;
   const auto plan = alg::build_access_plan(plan_point(o));
   if (!plan) return v;
@@ -517,77 +470,58 @@ SweepStaticVerdict static_verdict_for(const Options& o) {
   return v;
 }
 
-/// Cartesian grid in row-major (n, m, p, w, l, d) order.
-std::vector<Options> expand_grid(const Cli& cli) {
-  std::vector<Options> grid;
-  for (std::int64_t n : cli.n)
-    for (std::int64_t m : cli.m)
-      for (std::int64_t p : cli.p)
-        for (std::int64_t w : cli.w)
-          for (std::int64_t l : cli.l)
-            for (std::int64_t d : cli.d) {
-              Options o;
-              o.algorithm = cli.algorithm;
-              o.model = cli.model;
-              o.n = n;
-              o.m = m;
-              o.p = p;
-              o.w = w;
-              o.l = l;
-              o.d = d;
-              o.seed = cli.seed;
-              o.csv = cli.csv;
-              o.fast_forward = cli.fast_forward;
-              o.machine = cli.machine;
-              grid.push_back(std::move(o));
-            }
-  // --threads resolves once for the whole grid (0 = all cores), clamped
-  // against the sweep fan-out so --jobs x --threads never oversubscribes
-  // the machine.  Like --jobs it is runner-local: never part of the
-  // sweep identity, the CSV rows, or the shard fingerprint.
-  const std::int64_t engine_threads = run::resolve_engine_threads(
-      cli.threads, grid.size() > 1 ? cli.jobs : 1);
-  for (Options& o : grid) o.threads = engine_threads;
-  return grid;
-}
-
 struct Outcome {
-  Cycle time = 0;
-  std::int64_t global_stages = 0;
-  std::int64_t ff_rounds = 0;  ///< RunReport::fast_forward.replayed_rounds
-  std::string summary;
-  std::optional<MetricsSnapshot> metrics;  ///< --metrics only
-  std::optional<SweepStaticVerdict> analyze;  ///< --analyze sweeps only
+  run::PointOutcome run;
+  std::optional<MetricsSnapshot> metrics;     ///< --metrics only
+  std::optional<SweepStaticVerdict> analyze;  ///< --analyze only
 };
 
-run::Point to_point(const Options& o) {
-  run::Point point;
-  point.algorithm = o.algorithm;
-  point.model = o.model;
-  point.n = o.n;
-  point.m = o.m;
-  point.p = o.p;
-  point.w = o.w;
-  point.l = o.l;
-  point.d = o.d;
-  point.seed = o.seed;
-  point.fast_forward = o.fast_forward;
-  point.threads = o.threads;
-  point.machine = o.machine;
-  return point;
+/// Evaluate one grid point: THE per-point body of single runs, sweeps
+/// and shard runs.  The run goes through the shared dispatcher
+/// (run/point.hpp) — the same code path the hmmsimd service runs, which
+/// is what makes `--connect` output byte-identical to a local run — with
+/// the point's own metrics registry (workers run concurrently) and, for
+/// a single traced run, the trace sink.
+Outcome evaluate(const run::Point& point, const Cli& cli,
+                 telemetry::RingBufferSink* trace = nullptr) {
+  telemetry::MetricsRegistry registry;
+  telemetry::ObserverFanout fanout;
+  fanout.add(trace);
+  if (cli.grid.metrics) fanout.add(&registry);
+  Outcome out;
+  out.run = run::run_point(point, workloads,
+                           fanout.empty() ? nullptr : &fanout);
+  if (cli.grid.metrics) out.metrics = registry.snapshot();
+  if (cli.grid.analyze) out.analyze = static_verdict_for(point);
+  return out;
 }
 
-/// Execute one grid point through the shared dispatcher (run/point.hpp)
-/// — the same code path the hmmsimd service runs, which is what makes
-/// `--connect` output byte-identical to a local run.
-Outcome run_algorithm(const Options& o, EngineObserver* observer = nullptr) {
-  const run::PointOutcome r = run::run_point(to_point(o), workloads, observer);
-  Outcome out;
-  out.time = r.time;
-  out.global_stages = r.global_stages;
-  out.ff_rounds = r.ff_rounds;
-  out.summary = r.summary;
-  return out;
+/// The single-point text report, shared by local and --connect runs.
+void print_point_text(const run::Point& o, const run::PointOutcome& r) {
+  std::printf("%s on %s(n=%lld, m=%lld, p=%lld, w=%lld, l=%lld, d=%lld)\n",
+              o.algorithm.c_str(), o.model.c_str(),
+              static_cast<long long>(o.n), static_cast<long long>(o.m),
+              static_cast<long long>(o.p), static_cast<long long>(o.w),
+              static_cast<long long>(o.l), static_cast<long long>(o.d));
+  std::printf("  %s\n", r.summary.c_str());
+  std::printf("  time: %lld time units, global pipeline stages: %lld"
+              ", fast-forwarded rounds: %lld\n",
+              static_cast<long long>(r.time),
+              static_cast<long long>(r.global_stages),
+              static_cast<long long>(r.ff_rounds));
+}
+
+/// One sweep CSV row through the shared schema (report/sweep_csv.hpp),
+/// so sharded and single-process rows can never drift apart.
+void print_csv_row(const run::Point& o, const Outcome& out,
+                   const ShardTag* tag = nullptr) {
+  const SweepPoint point{o.algorithm, o.model, o.n, o.m,
+                         o.p,         o.w,     o.l, o.d};
+  SweepMeasurement measured{out.run.time, out.run.global_stages,
+                            out.run.ff_rounds,
+                            out.metrics ? &*out.metrics : nullptr};
+  if (out.analyze.has_value()) measured.analyze = &*out.analyze;
+  std::printf("%s\n", sweep_csv_row(point, measured, tag).c_str());
 }
 
 void write_trace_file(const std::string& path,
@@ -609,26 +543,18 @@ void print_table(const Table& table) {
 /// conflicting: --metrics and --trace ride along through an
 /// ObserverFanout, so one checked run can also produce the metrics
 /// tables and a Chrome trace.
-int run_checked(const Options& o, const Cli& cli) {
+int run_checked(const run::Point& o, const Cli& cli) {
   const analysis::CheckerConfig& cfg = cli.check_cfg;
   const bool hmm_model = o.model == "hmm";
-  // A non-trivial --machine topology reshapes the DMMs through the same
-  // overlay run_point registers; the flat pd below then only sizes the
-  // machine's BASE shape (the overlay overrides per-DMM thread counts
-  // and takes the max of size floors).
-  const bool overlaid = o.machine != nullptr && !o.machine->is_trivial();
-  const std::int64_t pd =
-      hmm_model ? (overlaid ? o.machine->max_threads_per_dmm() : o.p / o.d)
-                : 0;
-  if (hmm_model && !overlaid && (o.p % o.d != 0 || pd < 1)) {
-    throw PreconditionError("--p must be a positive multiple of --d");
-  }
+  // The same shape rule run_point applies: a non-trivial --machine
+  // topology reshapes the DMMs through the registered overlay, and pd
+  // then only sizes the machine's BASE shape (the overlay overrides
+  // per-DMM thread counts and takes the max of size floors).
+  const run::PointShape shape(o);
+  const std::int64_t pd = shape.threads_per_dmm();
   if (o.algorithm != "sum" && o.algorithm != "sort") {
     throw PreconditionError("--check supports algorithms: sum, sort");
   }
-  std::optional<MachineOverlay> overlay;
-  if (overlaid) overlay.emplace(o.machine->overlay());
-  const MachineOverlayScope overlay_scope(overlay ? &*overlay : nullptr);
 
   // Paper-optimal cost bounds to certify against: the sum kernels are
   // fully conflict-free and coalesced (Theorem 7); every bitonic stage
@@ -666,12 +592,12 @@ int run_checked(const Options& o, const Cli& cli) {
   telemetry::ObserverFanout fanout;
   fanout.add(&checker);
   if (!cli.trace_path.empty()) fanout.add(&sink);
-  if (cli.metrics) fanout.add(&registry);
+  if (cli.grid.metrics) fanout.add(&registry);
   machine.set_observer(fanout.size() > 1
                            ? static_cast<EngineObserver*>(&fanout)
                            : static_cast<EngineObserver*>(&checker));
 
-  Outcome out;
+  run::PointOutcome out;
   if (o.algorithm == "sum") {
     const auto r = hmm_model ? alg::sum_hmm(machine, o.n)
                              : alg::sum_mm(machine, MemorySpace::kGlobal, 0,
@@ -705,7 +631,7 @@ int run_checked(const Options& o, const Cli& cli) {
   // Telemetry output rides along even when findings map to a nonzero
   // exit code below — a failed check is exactly when the trace helps.
   if (!cli.trace_path.empty()) write_trace_file(cli.trace_path, sink);
-  if (cli.metrics) print_metrics_mode(cli, registry.snapshot());
+  if (cli.grid.metrics) print_metrics_mode(cli, registry.snapshot());
 
   using analysis::FindingKind;
   if (checker.count(FindingKind::kRace) > 0) return kExitRace;
@@ -733,7 +659,7 @@ int run_checked(const Options& o, const Cli& cli) {
 /// histograms batch-for-batch (diff mode).  Exit codes: a static/
 /// dynamic disagreement (a bug in the twin or the evaluator) beats a
 /// refuted claim (a property of the workload) beats success.
-int run_analyze(const Options& o, const Cli& cli) {
+int run_analyze(const run::Point& o, const Cli& cli) {
   const alg::PlanPoint point = plan_point(o);
   const auto plan = alg::build_access_plan(point);
   if (!plan.has_value()) {
@@ -898,29 +824,23 @@ int client_control(const std::string& spec, const std::string& verb) {
 /// contiguous prefix is complete, so a --jobs=1 daemon streams rows
 /// live).  Telemetry and drop frames go to stderr as raw NDJSON; stdout
 /// stays byte-identical (locked by tools/service_roundtrip.sh).
-int client_run(const Cli& cli) {
-  const std::vector<Options> grid = expand_grid(cli);
-  if (cli.metrics_json && grid.size() != 1) {
-    std::fprintf(stderr,
-                 "error: --metrics=json prints one object for a single "
-                 "operating point, not a sweep\n");
-    return 2;
-  }
+int client_run(const Cli& cli, const run::Point& first) {
   service::Client client;
   client.connect(service::parse_address(cli.connect));
+  const run::GridSpec& grid = cli.grid;
   service::RunRequest request;
   request.id = "cli";
-  request.algorithm = cli.algorithm;
-  request.model = cli.model;
-  request.n = cli.n;
-  request.m = cli.m;
-  request.p = cli.p;
-  request.w = cli.w;
-  request.l = cli.l;
-  request.d = cli.d;
-  request.seed = cli.seed;
-  request.fast_forward = cli.fast_forward;
-  request.metrics = cli.metrics;
+  request.algorithm = grid.algorithm;
+  request.model = grid.model;
+  request.n = grid.n;
+  request.m = grid.m;
+  request.p = grid.p;
+  request.w = grid.w;
+  request.l = grid.l;
+  request.d = grid.d;
+  request.seed = grid.seed;
+  request.fast_forward = grid.fast_forward;
+  request.metrics = grid.metrics;
   request.telemetry = cli.telemetry;
   // Ship the raw request; the daemon clamps against ITS cores and
   // --jobs, not the client's (the run executes over there).
@@ -931,8 +851,8 @@ int client_run(const Cli& cli) {
   // p/w/l/d from the spec, exactly as this process would locally.
   if (!cli.machine_preset.empty()) {
     request.machine_preset = cli.machine_preset;
-  } else if (cli.machine != nullptr) {
-    request.machine = cli.machine->document();
+  } else if (grid.topology != nullptr) {
+    request.machine = grid.topology->document();
   }
   client.send(request);
 
@@ -965,7 +885,7 @@ int client_run(const Cli& cli) {
       // Sweeps print a header unless --csv asked for bare rows — the
       // same rule the local sweep path follows.
       if (grid_points > 1 && !cli.csv) {
-        std::printf("%s\n", sweep_csv_header(cli.metrics, false).c_str());
+        std::printf("%s\n", sweep_csv_header(grid.metrics, false).c_str());
       }
     } else if (const auto* result =
                    std::get_if<service::ResultFrame>(&*frame)) {
@@ -1003,23 +923,15 @@ int client_run(const Cli& cli) {
       std::fprintf(stderr, "error: no result frame received\n");
       return 1;
     }
-    const Options& opt = grid.front();
     if (cli.csv) {
       std::printf("%s\n", single_result->row.c_str());
     } else {
-      std::printf(
-          "%s on %s(n=%lld, m=%lld, p=%lld, w=%lld, l=%lld, d=%lld)\n",
-          opt.algorithm.c_str(), opt.model.c_str(),
-          static_cast<long long>(opt.n), static_cast<long long>(opt.m),
-          static_cast<long long>(opt.p), static_cast<long long>(opt.w),
-          static_cast<long long>(opt.l), static_cast<long long>(opt.d));
-      std::printf("  %s\n", single_result->summary.c_str());
-      std::printf("  time: %lld time units, global pipeline stages: %lld"
-                  ", fast-forwarded rounds: %lld\n",
-                  static_cast<long long>(single_result->time),
-                  static_cast<long long>(single_result->global_stages),
-                  static_cast<long long>(single_result->ff_rounds));
-      if (cli.metrics && single_metrics) {
+      print_point_text(first,
+                       run::PointOutcome{single_result->time,
+                                         single_result->global_stages,
+                                         single_result->ff_rounds,
+                                         single_result->summary});
+      if (grid.metrics && single_metrics) {
         print_metrics_mode(cli, *single_metrics);
       }
     }
@@ -1028,20 +940,6 @@ int client_run(const Cli& cli) {
 }
 
 }  // namespace
-
-/// One sweep CSV row through the shared schema (report/sweep_csv.hpp),
-/// so sharded and single-process rows can never drift apart.
-void print_csv_row(const Options& opt, const Outcome& out, bool metrics,
-                   const ShardTag* tag = nullptr) {
-  const SweepPoint point{opt.algorithm, opt.model, opt.n, opt.m,
-                         opt.p,         opt.w,     opt.l, opt.d};
-  const MetricsSnapshot snapshot =
-      metrics ? out.metrics.value_or(MetricsSnapshot{}) : MetricsSnapshot{};
-  SweepMeasurement measured{out.time, out.global_stages, out.ff_rounds,
-                            metrics ? &snapshot : nullptr};
-  if (out.analyze.has_value()) measured.analyze = &*out.analyze;
-  std::printf("%s\n", sweep_csv_row(point, measured, tag).c_str());
-}
 
 int main(int argc, char** argv) {
   // --version and the service control verbs bypass the sweep parser:
@@ -1073,34 +971,32 @@ int main(int argc, char** argv) {
     // Resolve --machine before anything consumes the axes: the spec
     // REPLACES the flat tuple, so every downstream surface (sweeps,
     // shards, --check, --connect, fingerprints) sees one vocabulary.
-    if (!cli.machine_path.empty()) {
-      cli.machine = std::make_shared<const topo::TopologySpec>(
-          topo::parse_topology_file(cli.machine_path));
-      cli.p = {cli.machine->total_threads()};
-      cli.w = {cli.machine->width};
-      cli.l = {cli.machine->global_latency};
-      cli.d = {cli.machine->total_dmms()};
+    std::shared_ptr<const topo::TopologySpec> machine;
+    if (!cli.grid.machine_path.empty()) {
+      machine = std::make_shared<const topo::TopologySpec>(
+          topo::parse_topology_file(cli.grid.machine_path));
     }
     if (cli.dry_run) {
       // Validation mode: print the normalized document — for plain flags,
       // the synthesized equivalent, which is how docs/TOPOLOGY.md
       // demonstrates that flags and JSON are the same machine.
+      const run::GridSpec& g = cli.grid;
       const topo::TopologySpec spec =
-          cli.machine != nullptr
-              ? *cli.machine
-              : topo::synthesize_topology("machine", cli.p[0], cli.w[0],
-                                          cli.l[0], cli.d[0]);
+          machine != nullptr ? *machine
+                             : topo::synthesize_topology("machine", g.p[0],
+                                                         g.w[0], g.l[0],
+                                                         g.d[0]);
       std::printf("%s\n", spec.document().c_str());
       return 0;
     }
-    if (cli.machine != nullptr && !cli.machine->is_trivial()) {
-      if (cli.model != "hmm") {
-        std::fprintf(stderr,
-                     "error: --machine topologies with per-DMM overrides or "
-                     "links require --model hmm\n");
+    if (machine != nullptr) {
+      try {
+        cli.grid.set_machine(std::move(machine));
+      } catch (const PreconditionError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
       }
-      if (cli.analyze) {
+      if (cli.grid.analyze && !cli.grid.machine.empty()) {
         std::fprintf(stderr,
                      "error: --analyze prices the flat paper machine; it "
                      "does not compose with a non-trivial --machine "
@@ -1108,17 +1004,18 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (!cli.connect.empty()) return client_run(cli);
-    const std::vector<Options> grid = expand_grid(cli);
+    const run::GridSpec& grid = cli.grid;
+    const std::vector<run::Point> points = grid.expand(cli.threads, cli.jobs);
 
     // --metrics=json is the single-run JSON mode; a sweep's metrics ride
     // the CSV columns instead.
-    if (cli.metrics_json && (grid.size() != 1 || cli.sharded)) {
+    if (cli.metrics_json && (points.size() != 1 || cli.sharded)) {
       std::fprintf(stderr,
                    "error: --metrics=json prints one object for a single "
                    "operating point, not a sweep\n");
       return 2;
     }
+    if (!cli.connect.empty()) return client_run(cli, points.front());
 
     // Plan-only mode: write the K-shard job manifest and exit without
     // simulating anything.
@@ -1129,10 +1026,9 @@ int main(int argc, char** argv) {
                      "(not --check/--trace)\n");
         return 2;
       }
-      const run::GridSpec spec = grid_spec(cli);
       const run::Manifest manifest = run::plan_manifest(
-          spec, cli.shards, "hmmsim",
-          sweep_csv_header(cli.metrics, true, cli.analyze));
+          grid, cli.shards, "hmmsim",
+          sweep_csv_header(grid.metrics, true, grid.analyze));
       std::ofstream out(cli.emit_manifest_path);
       if (!out) {
         throw PreconditionError("cannot open manifest file: " +
@@ -1158,18 +1054,18 @@ int main(int argc, char** argv) {
                      "error: --check does not compose with --shard\n");
         return 2;
       }
-      if (grid.size() != 1) {
+      if (points.size() != 1) {
         std::fprintf(stderr,
                      "error: --check needs a single operating point, not a "
                      "sweep\n");
         return 2;
       }
-      return run_checked(grid.front(), cli);
+      return run_checked(points.front(), cli);
     }
 
     // The dmm model exists only in the analyzer's vocabulary, and its
     // workloads are single-point (no span driver to sweep).
-    if (cli.model == "dmm" && (grid.size() != 1 || cli.sharded)) {
+    if (grid.model == "dmm" && (points.size() != 1 || cli.sharded)) {
       std::fprintf(stderr,
                    "error: --model dmm analyzes a single operating point, "
                    "not a sweep\n");
@@ -1179,118 +1075,58 @@ int main(int argc, char** argv) {
     // Single-point --analyze prints the certificate (and diff) tables;
     // with --csv it instead rides the sweep row format, static columns
     // included, so scripts get one schema whatever the grid size.
-    if (cli.analyze && grid.size() == 1 && !cli.sharded && !cli.csv) {
-      return run_analyze(grid.front(), cli);
+    if (grid.analyze && points.size() == 1 && !cli.sharded && !cli.csv) {
+      return run_analyze(points.front(), cli);
     }
 
-    // Shard mode: run only the owned grid points and emit sharded CSV
-    // (header + grid_index,shard,fingerprint columns) for hmm-merge.
-    // Always CSV with a header, whatever the grid size: the merge tool
-    // validates header consistency across every shard file.
-    if (cli.sharded) {
-      if (!cli.trace_path.empty()) {
-        std::fprintf(stderr,
-                     "error: --trace needs a single operating point, not a "
-                     "shard run\n");
-        return 2;
-      }
-      const run::GridSpec spec = grid_spec(cli);
-      const std::string fingerprint = spec.fingerprint();
-      const std::vector<std::int64_t> own =
-          cli.shard.indices(static_cast<std::int64_t>(grid.size()));
-      std::vector<Outcome> outcomes(own.size());
-      const run::SweepRunner pool(cli.jobs);
-      pool.for_each(static_cast<std::int64_t>(own.size()),
-                    [&](std::int64_t i) {
-                      const Options& opt =
-                          grid[static_cast<std::size_t>(
-                              own[static_cast<std::size_t>(i)])];
-                      Outcome& out = outcomes[static_cast<std::size_t>(i)];
-                      if (cli.metrics) {
-                        telemetry::MetricsRegistry registry;
-                        out = run_algorithm(opt, &registry);
-                        out.metrics = registry.snapshot();
-                      } else {
-                        out = run_algorithm(opt);
-                      }
-                      if (cli.analyze) out.analyze = static_verdict_for(opt);
-                    });
-      std::printf("%s\n",
-                  sweep_csv_header(cli.metrics, true, cli.analyze).c_str());
-      for (std::size_t i = 0; i < own.size(); ++i) {
-        const ShardTag tag{own[i], cli.shard.shard, fingerprint};
-        print_csv_row(grid[static_cast<std::size_t>(own[i])], outcomes[i],
-                      cli.metrics, &tag);
-      }
-      return 0;
-    }
-
-    if (grid.size() == 1) {
-      const Options& opt = grid.front();
-
+    if (points.size() == 1 && !cli.sharded) {
+      const run::Point& point = points.front();
       telemetry::RingBufferSink sink(cli.trace_capacity);
-      telemetry::MetricsRegistry registry;
-      telemetry::ObserverFanout fanout;
-      if (!cli.trace_path.empty()) fanout.add(&sink);
-      if (cli.metrics) fanout.add(&registry);
-      EngineObserver* observer = fanout.empty() ? nullptr : &fanout;
-
-      Outcome out = run_algorithm(opt, observer);
-      if (cli.metrics) out.metrics = registry.snapshot();
-      if (cli.analyze) out.analyze = static_verdict_for(opt);
-      if (opt.csv) {
-        print_csv_row(opt, out, cli.metrics);
+      const Outcome out =
+          evaluate(point, cli, cli.trace_path.empty() ? nullptr : &sink);
+      if (cli.csv) {
+        print_csv_row(point, out);
       } else {
-        std::printf(
-            "%s on %s(n=%lld, m=%lld, p=%lld, w=%lld, l=%lld, d=%lld)\n",
-            opt.algorithm.c_str(), opt.model.c_str(),
-            static_cast<long long>(opt.n), static_cast<long long>(opt.m),
-            static_cast<long long>(opt.p), static_cast<long long>(opt.w),
-            static_cast<long long>(opt.l), static_cast<long long>(opt.d));
-        std::printf("  %s\n", out.summary.c_str());
-        std::printf("  time: %lld time units, global pipeline stages: %lld"
-                    ", fast-forwarded rounds: %lld\n",
-                    static_cast<long long>(out.time),
-                    static_cast<long long>(out.global_stages),
-                    static_cast<long long>(out.ff_rounds));
+        print_point_text(point, out.run);
       }
       if (!cli.trace_path.empty()) write_trace_file(cli.trace_path, sink);
-      if (cli.metrics && !opt.csv) print_metrics_mode(cli, *out.metrics);
+      if (out.metrics && !cli.csv) print_metrics_mode(cli, *out.metrics);
       return 0;
     }
 
     if (!cli.trace_path.empty()) {
       std::fprintf(stderr,
                    "error: --trace needs a single operating point, not a "
-                   "sweep\n");
+                   "%s\n",
+                   cli.sharded ? "shard run" : "sweep");
       return 2;
     }
 
-    // Sweep: evaluate every grid point across the pool, then print rows
-    // in grid order (results are deterministic at any job count).  With
-    // --metrics each point gets its own registry (workers run
-    // concurrently) and its snapshot rides along in the outcome.
-    std::vector<Outcome> outcomes(grid.size());
-    const run::SweepRunner pool(cli.jobs);
-    pool.for_each(static_cast<std::int64_t>(grid.size()),
-                  [&](std::int64_t i) {
-                    const Options& opt = grid[static_cast<std::size_t>(i)];
-                    Outcome& out = outcomes[static_cast<std::size_t>(i)];
-                    if (cli.metrics) {
-                      telemetry::MetricsRegistry registry;
-                      out = run_algorithm(opt, &registry);
-                      out.metrics = registry.snapshot();
-                    } else {
-                      out = run_algorithm(opt);
-                    }
-                    if (cli.analyze) out.analyze = static_verdict_for(opt);
-                  });
-    if (!cli.csv) {
-      std::printf("%s\n",
-                  sweep_csv_header(cli.metrics, false, cli.analyze).c_str());
+    // Sweep, or shard run (only the owned grid indices): evaluate the
+    // points across the pool, then print rows in grid order (results are
+    // deterministic at any job count).  Shard runs always emit a header
+    // and the grid_index,shard,fingerprint columns, whatever the grid
+    // size: hmm-merge validates header consistency across every shard.
+    const run::ShardPlan plan = cli.sharded ? cli.shard : run::ShardPlan{};
+    const std::vector<std::int64_t> own =
+        plan.indices(static_cast<std::int64_t>(points.size()));
+    std::vector<Outcome> outcomes(own.size());
+    run::SweepRunner(cli.jobs).for_each(
+        static_cast<std::int64_t>(own.size()), [&](std::int64_t i) {
+          const auto k = static_cast<std::size_t>(i);
+          outcomes[k] =
+              evaluate(points[static_cast<std::size_t>(own[k])], cli);
+        });
+    if (cli.sharded || !cli.csv) {
+      std::printf("%s\n", sweep_csv_header(grid.metrics, cli.sharded,
+                                            grid.analyze)
+                               .c_str());
     }
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      print_csv_row(grid[i], outcomes[i], cli.metrics);
+    const std::string fingerprint = grid.fingerprint();
+    for (std::size_t k = 0; k < own.size(); ++k) {
+      const ShardTag tag{own[k], plan.shard, fingerprint};
+      print_csv_row(points[static_cast<std::size_t>(own[k])], outcomes[k],
+                    cli.sharded ? &tag : nullptr);
     }
     return 0;
   } catch (const topo::TopologySpecError& e) {
