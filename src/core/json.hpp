@@ -13,6 +13,7 @@
 // and \uXXXX escapes outside the BMP are rejected rather than paired.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -69,6 +70,11 @@ class Value {
 /// Arrays and objects nested deeper than this are rejected: parsing and
 /// destroying a Value recurse once per level.
 inline constexpr int kMaxDepth = 256;
+
+/// Longest NDJSON line, newline excluded, that a line reader accepts: the
+/// hmmsimd request reader answers a longer one with an error frame and
+/// closes that connection instead of buffering it.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// Parse one complete JSON document; throws PreconditionError with a
 /// byte offset on any syntax error, nesting deeper than kMaxDepth, or

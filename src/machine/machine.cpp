@@ -377,7 +377,7 @@ class Engine {
     bool replay = false;    ///< verified fast-forward round (no batch)
     std::int64_t nreq = 0;  ///< replay: recorded request count
     WarpBatch batch;        ///< full-simulation rounds: the request copy
-    std::vector<std::int32_t> participants;
+    std::int64_t distinct = 0;  ///< ... and its distinct address count
     std::vector<std::int32_t> banks;  ///< replay: rotated traffic banks
   };
 
@@ -396,7 +396,8 @@ class Engine {
     std::int64_t index = 0;
     ReadyQueue queue;
     WarpBatch batch_scratch;
-    std::vector<std::int32_t> participants_scratch;
+    std::vector<Word> values_scratch;  // service() output, parallel to a batch
+    std::vector<std::int32_t> participants_scratch;  // compute rounds
     BatchCostScratch global_scratch;  // global-batch pricing (the global
                                       // Port's scratch would be shared)
     PatternCache* cache = nullptr;    // per-worker: PR-6 memoization stays
@@ -532,6 +533,20 @@ class Engine {
     std::memcpy(flagged_lanes(w), live_lanes(w),
                 static_cast<std::size_t>(w.live) * sizeof(std::int32_t));
     w.flagged = w.live;
+  }
+  /// Service a full-simulation batch (`distinct`: its distinct address
+  /// count) and hand each value straight to its request's lane, flagging
+  /// the lane for resume.
+  void service_and_deliver(Shard& s, WarpState& w, BankMemory& memory,
+                           const WarpBatch& batch, std::int64_t distinct) {
+    std::vector<Word>& values = s.values_scratch;
+    values.resize(batch.size());
+    memory.service(batch, values, distinct);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const auto lane = static_cast<std::int32_t>(batch[i].lane);
+      thread(w.first + lane).ctx.delivered_ = values[i];
+      flag_lane(w, lane);
+    }
   }
 
   Machine& machine_;
@@ -676,6 +691,7 @@ void Engine::launch_threads() {
   for (Shard& s : shards_) {
     s.queue.reserve(static_cast<std::size_t>(topo.total_warps()));
     s.batch_scratch.reserve(static_cast<std::size_t>(topo.width()));
+    s.values_scratch.reserve(static_cast<std::size_t>(topo.width()));
     s.participants_scratch.reserve(static_cast<std::size_t>(topo.width()));
   }
   if (replay_enabled_) {
@@ -1078,9 +1094,7 @@ void Engine::dispatch_scan(Shard& s, WarpState& w) {
 
 void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
   WarpBatch& batch = s.batch_scratch;
-  std::vector<std::int32_t>& participants = s.participants_scratch;
   batch.clear();
-  participants.clear();
   const std::int32_t* live = live_lanes(w);
   for (std::int64_t k = 0; k < w.live; ++k) {
     const std::int32_t lane = live[k];
@@ -1098,7 +1112,6 @@ void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
         .value = op.value,
         .thread = w.first + lane,
     });
-    participants.push_back(lane);
   }
   HMM_ASSERT(!batch.empty(), "memory round without requests");
 
@@ -1154,7 +1167,7 @@ void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
     pg.stages = stages;
     pg.replay = false;
     pg.batch.assign(batch.begin(), batch.end());
-    pg.participants.assign(participants.begin(), participants.end());
+    pg.distinct = profile.distinct_addresses;
     if (replay_enabled_ && w.uniform == UniformClass::kMemory) {
       WarpTracker& t = trackers_[static_cast<std::size_t>(w.id)];
       if (observe_fp(t, fp_memory_round(space, shape_fp))) {
@@ -1185,12 +1198,7 @@ void Engine::memory_round(Shard& s, WarpState& w, MemorySpace space) {
         .profile = &profile,
     });
   }
-  const ServicedBatch served = port.memory.service(batch);
-
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    thread(w.first + participants[i]).ctx.delivered_ = served.values[i];
-    flag_lane(w, participants[i]);
-  }
+  service_and_deliver(s, w, port.memory, batch, profile.distinct_addresses);
   w.clock = slot.data_ready;
   requeue(s, w);
 
@@ -1885,7 +1893,8 @@ Engine::PendingGlobal& Engine::acquire_pending(Shard& s) {
 /// The serial tail of a parked global round, executed at its merge
 /// position: inject the priced batch into the UMM pipeline, service the
 /// memory (or apply the verified replay effects), deliver values, and
-/// requeue the warp at data_ready in its shard.
+/// requeue the warp at data_ready in its shard.  The coordinator merges
+/// only while every worker is parked, so the shard's scratch is free.
 void Engine::service_global(Shard& s, PendingGlobal& pg) {
   WarpState& w = warps_[static_cast<std::size_t>(pg.warp)];
   Machine::Port& port = *machine_.global_;
@@ -1895,11 +1904,7 @@ void Engine::service_global(Shard& s, PendingGlobal& pg) {
   if (!pg.replay) {
     const PipelineSlot slot = port.pipeline.inject(
         pg.issue, pg.stages, static_cast<std::int64_t>(pg.batch.size()));
-    const ServicedBatch served = port.memory.service(pg.batch);
-    for (std::size_t i = 0; i < pg.participants.size(); ++i) {
-      thread(w.first + pg.participants[i]).ctx.delivered_ = served.values[i];
-      flag_lane(w, pg.participants[i]);
-    }
+    service_and_deliver(s, w, port.memory, pg.batch, pg.distinct);
     w.clock = slot.data_ready;
   } else {
     const PipelineSlot slot =

@@ -1,6 +1,7 @@
 #include "mm/bank_memory.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/mathutil.hpp"
 
@@ -36,52 +37,69 @@ std::vector<Word> BankMemory::dump(Address base, std::int64_t count) const {
           cells_.begin() + static_cast<std::ptrdiff_t>(base + count)};
 }
 
-ServicedBatch BankMemory::service(std::span<const Request> batch) {
-  ServicedBatch out;
-  out.values.resize(batch.size());
-
-  // All reads observe pre-batch memory (a warp access is one parallel
-  // step); resolve them first.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Request& r = batch[i];
+void BankMemory::service(std::span<const Request> batch,
+                         std::span<Word> values,
+                         std::int64_t distinct_addresses) {
+  HMM_REQUIRE(values.size() == batch.size(),
+              "service: values must be parallel to the batch");
+  for (const Request& r : batch) {
     HMM_REQUIRE(r.address >= 0 && r.address < size(),
                 "service: address out of range");
-    if (r.kind == AccessKind::kRead) {
-      out.values[i] = cells_[static_cast<std::size_t>(r.address)];
+  }
+  if (distinct_addresses == static_cast<std::int64_t>(batch.size())) {
+    // Duplicate-free: no request can observe another, so batch order is
+    // service order.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Request& r = batch[i];
+      Word& cell = cells_[static_cast<std::size_t>(r.address)];
+      if (r.kind == AccessKind::kWrite) cell = r.value;
+      values[i] = cell;
+      ++bank_traffic_[static_cast<std::size_t>(geometry_.bank_of(r.address))];
     }
+    return;
   }
 
-  // Writes: highest lane wins per address (deterministic stand-in for the
-  // paper's "one of them is arbitrarily selected").
-  for (const Request& r : batch) {
-    if (r.kind != AccessKind::kWrite) continue;
-    bool superseded = false;
-    for (const Request& other : batch) {
-      if (other.kind == AccessKind::kWrite && other.address == r.address &&
-          other.lane > r.lane) {
-        superseded = true;
-        break;
-      }
-    }
-    if (!superseded) cells_[static_cast<std::size_t>(r.address)] = r.value;
+  if (slots_.size() < 2 * batch.size()) {
+    slots_.resize(std::bit_ceil(2 * batch.size()));
   }
+  ++epoch_;
+  // Pass 1, before any write: reads take the pre-batch value, each
+  // distinct address gets a slot and one unit of traffic, and each slot
+  // keeps its highest-lane write (the deterministic stand-in for the
+  // paper's "one of them is arbitrarily selected").
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& r = batch[i];
-    if (r.kind == AccessKind::kWrite) {
-      out.values[i] = cells_[static_cast<std::size_t>(r.address)];
+    Slot& s = slot_for(r.address);
+    if (s.epoch != epoch_) {
+      s = Slot{.epoch = epoch_, .address = r.address};
+      ++bank_traffic_[static_cast<std::size_t>(geometry_.bank_of(r.address))];
+    }
+    if (r.kind == AccessKind::kRead) {
+      values[i] = cells_[static_cast<std::size_t>(r.address)];
+    } else if (r.lane >= s.lane) {
+      s.lane = r.lane;
+      s.value = r.value;
     }
   }
-
-  // Traffic: one count per distinct address, charged to its bank.
-  std::vector<Address> addrs;
-  addrs.reserve(batch.size());
-  for (const Request& r : batch) addrs.push_back(r.address);
-  std::sort(addrs.begin(), addrs.end());
-  addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-  for (Address a : addrs) {
-    ++bank_traffic_[static_cast<std::size_t>(geometry_.bank_of(a))];
+  // Pass 2: every write stores, and reports, its address's winning value.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].kind != AccessKind::kWrite) continue;
+    values[i] = slot_for(batch[i].address).value;
+    cells_[static_cast<std::size_t>(batch[i].address)] = values[i];
   }
-  return out;
+}
+
+BankMemory::Slot& BankMemory::slot_for(Address a) {
+  // Fibonacci hashing: the high bits of the product spread strided
+  // addresses over the table.
+  const std::uint64_t mask = slots_.size() - 1;
+  std::uint64_t h =
+      (static_cast<std::uint64_t>(a) * 0x9E3779B97F4A7C15ULL) >>
+      std::countl_zero(mask);
+  while (slots_[h].epoch == epoch_ && slots_[h].address != a) {
+    h = (h + 1) & mask;
+  }
+  return slots_[h];
 }
 
 void BankMemory::reset_traffic() {

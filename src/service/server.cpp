@@ -312,6 +312,10 @@ void Server::accept_one() {
 }
 
 void Server::reader_loop(ConnectionPtr conn) {
+  // Only the bytes each recv appends are scanned for '\n'.  A line longer
+  // than json::kMaxLineBytes, complete or not, stays at the front of
+  // `buffer`, so one size check catches both; the rest of such a line
+  // cannot be skipped safely, so that connection ends with an error frame.
   std::string buffer;
   char chunk[4096];
   while (!conn->dead.load(std::memory_order_relaxed)) {
@@ -321,15 +325,24 @@ void Server::reader_loop(ConnectionPtr conn) {
       break;
     }
     if (n == 0) break;  // client closed its sending side
+    std::size_t scan = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
     std::size_t nl;
-    while ((nl = buffer.find('\n', start)) != std::string::npos) {
-      const std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (!line.empty()) dispatch_line(conn, line);
+    while ((nl = buffer.find('\n', scan)) != std::string::npos &&
+           nl - start <= json::kMaxLineBytes) {
+      if (nl > start) dispatch_line(conn, buffer.substr(start, nl - start));
+      start = scan = nl + 1;
     }
     buffer.erase(0, start);
+    if (buffer.size() > json::kMaxLineBytes) {
+      stats_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
+      send_frame(conn, ErrorFrame{"", "request line longer than " +
+                                          std::to_string(json::kMaxLineBytes) +
+                                          " bytes"});
+      ::shutdown(conn->fd, SHUT_RDWR);
+      break;
+    }
   }
   conn->dead.store(true, std::memory_order_relaxed);
 }

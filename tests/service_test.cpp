@@ -14,6 +14,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/json.hpp"
 #include "core/version.hpp"
 #include "machine/machine.hpp"
@@ -541,6 +542,56 @@ TEST(Service, DeeplyNestedLineGetsAnErrorFrameAndServingContinues) {
   EXPECT_TRUE(std::holds_alternative<service::PongFrame>(*frame));
   service::Client other;
   other.connect(config.listen);
+  other.send(service::DrainRequest{"d"});
+  for (;;) {
+    frame = other.read_frame();
+    ASSERT_TRUE(frame.has_value()) << "connection closed before bye";
+    if (std::holds_alternative<service::ByeFrame>(*frame)) break;
+  }
+  serve.join();
+  EXPECT_EQ(server.stats_snapshot().requests_rejected, 1);
+}
+
+TEST(Service, OverlongLineGetsAnErrorFrameAndServingContinues) {
+  service::ServerConfig config;
+  config.listen = service::parse_address(
+      "unix:/tmp/hmmsvc_long_" + std::to_string(::getpid()) + ".sock");
+  service::Server server(config);
+  server.start();
+  std::thread serve([&] { server.serve(); });
+
+  // Twice json::kMaxLineBytes with no newline in reach: the daemon must
+  // stop buffering at the cap, answer with one error frame and close
+  // this connection.  It may close while the client is still sending.
+  service::Client hostile;
+  hostile.connect(config.listen);
+  try {
+    hostile.send_line(std::string(2 * json::kMaxLineBytes, 'x'));
+  } catch (const PreconditionError&) {
+    // EPIPE/ECONNRESET: the daemon closed mid-line, as it should.
+  }
+  const auto next = [](service::Client& client) {
+    for (;;) {
+      auto frame = client.read_frame();
+      if (!frame || !std::holds_alternative<service::HeartbeatFrame>(*frame)) {
+        return frame;
+      }
+    }
+  };
+  auto frame = next(hostile);
+  ASSERT_TRUE(frame.has_value()) << "no error frame before the close";
+  const auto* error = std::get_if<service::ErrorFrame>(&*frame);
+  ASSERT_NE(error, nullptr);
+  ASSERT_NE(error->message.find("longer than"), std::string::npos);
+  EXPECT_FALSE(next(hostile).has_value()) << "connection left open";
+
+  // A second client is still served.
+  service::Client other;
+  other.connect(config.listen);
+  other.send(service::PingRequest{"p"});
+  frame = next(other);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_TRUE(std::holds_alternative<service::PongFrame>(*frame));
   other.send(service::DrainRequest{"d"});
   for (;;) {
     frame = other.read_frame();

@@ -106,6 +106,68 @@ TEST(ThreadedEngine, FastForwardStatsInvariantAcrossThreadCounts) {
                 threaded.fast_forward.cache_misses);
 }
 
+// ---- same-address rounds on global memory --------------------------------
+
+/// Result of one run of the duplicate-address kernel below.
+struct DuplicateRun {
+  RunReport report;
+  std::vector<Word> memory;
+  std::vector<std::int64_t> traffic;
+};
+
+/// Global rounds that exercise every same-address rule of
+/// BankMemory::service: broadcast reads, two lanes writing one cell, and
+/// a read and a write of one cell in the same round.  Warps of every DMM
+/// share the hot cells, so the result also depends on the order in which
+/// global rounds are serviced across DMMs.
+DuplicateRun duplicate_run(std::int64_t threads, bool fast_forward,
+                           telemetry::CollectingSink* trace = nullptr) {
+  constexpr Address kHot = 0, kPairs = 8, kOut = 16;
+  Machine m = Machine::hmm(8, 20, 4, 16, 16, kOut + 64);
+  m.set_observer(trace);
+  m.set_engine_threads(threads);
+  m.set_fast_forward(fast_forward);
+  for (Address a = 0; a < kOut; ++a) m.global_memory().poke(a, 100 + a);
+  DuplicateRun run;
+  run.report = m.run([](ThreadCtx& t) -> SimTask {
+    const std::int64_t lane = t.lane();
+    Word acc = t.thread_id();
+    for (std::int64_t it = 0; it < 12; ++it) {
+      acc += co_await t.read(MemorySpace::kGlobal, kHot + it % 8);
+      co_await t.write(MemorySpace::kGlobal, kHot + (it + lane / 2) % 8, acc);
+      co_await t.compute(1 + (t.dmm_id() + it) % 3);
+      const Address cell = kPairs + (lane / 2 + it) % 8;
+      if (lane % 2 == 0) {
+        acc += co_await t.read(MemorySpace::kGlobal, cell);
+      } else {
+        co_await t.write(MemorySpace::kGlobal, cell, acc);
+      }
+    }
+    co_await t.write(MemorySpace::kGlobal, kOut + t.thread_id(), acc);
+  });
+  run.memory = m.global_memory().dump(0, kOut + 64);
+  run.traffic = m.global_memory().bank_traffic();
+  return run;
+}
+
+TEST(ThreadedEngine, DuplicateAddressRoundsIdenticalAcrossEngineModes) {
+  const DuplicateRun serial = duplicate_run(1, true);
+  ASSERT_GT(serial.report.makespan, 0);
+  // The kernel's results depend on the values it read.
+  EXPECT_NE(serial.memory[16], serial.memory[17]);
+
+  const auto expect_same = [&](const DuplicateRun& other, const char* mode) {
+    EXPECT_EQ(serial.report, other.report) << mode;
+    EXPECT_EQ(serial.memory, other.memory) << mode;
+    EXPECT_EQ(serial.traffic, other.traffic) << mode;
+  };
+  expect_same(duplicate_run(2, true), "threads=2");
+  expect_same(duplicate_run(1, false), "fast-forward off");
+  telemetry::CollectingSink sink;
+  expect_same(duplicate_run(1, true, &sink), "collecting sink");
+  EXPECT_FALSE(sink.events().empty());
+}
+
 // ---- per-worker resource registry ---------------------------------------
 
 TEST(ThreadedEngine, WorkerResourceRegistryGrowsAndTrims) {
