@@ -1,9 +1,11 @@
 #include "core/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <utility>
 
 #include "core/error.hpp"
@@ -286,7 +288,26 @@ Value Value::make_object(std::map<std::string, Value> members) {
   return v;
 }
 
-Value parse(std::string_view text) { return Parser(text).document(); }
+Value parse(std::string_view text) {
+  if (text.size() > kMaxLineBytes) {
+    fail(kMaxLineBytes,
+         "document longer than " + std::to_string(kMaxLineBytes) + " bytes");
+  }
+  return Parser(text).document();
+}
+
+std::optional<std::string> read_document(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::string text;
+  char chunk[1 << 14];
+  while (in && text.size() <= kMaxLineBytes) {
+    in.read(chunk, static_cast<std::streamsize>(std::min(
+                       sizeof(chunk), kMaxLineBytes + 1 - text.size())));
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return text;
+}
 
 namespace {
 

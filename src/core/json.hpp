@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,15 +72,21 @@ class Value {
 /// destroying a Value recurse once per level.
 inline constexpr int kMaxDepth = 256;
 
-/// Longest NDJSON line, newline excluded, that a line reader accepts: the
-/// hmmsimd request reader answers a longer one with an error frame and
-/// closes that connection instead of buffering it.
+/// Longest document parse() accepts, and so the longest NDJSON line,
+/// newline excluded, that a line reader accepts: the hmmsimd request
+/// reader answers a longer one with an error frame and closes that
+/// connection instead of buffering it.
 inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// Parse one complete JSON document; throws PreconditionError with a
-/// byte offset on any syntax error, nesting deeper than kMaxDepth, or
-/// trailing input.
+/// byte offset on any syntax error, nesting deeper than kMaxDepth, a
+/// document longer than kMaxLineBytes, or trailing input.
 Value parse(std::string_view text);
+
+/// Read the file at `path` for parse(): at most kMaxLineBytes + 1 bytes,
+/// enough for parse() to reject an oversized file without reading all of
+/// it.  nullopt when the file cannot be opened.
+std::optional<std::string> read_document(const std::string& path);
 
 /// Serialize a Value to one compact line (no insignificant whitespace,
 /// object keys in map order, so equal Values always serialize to equal

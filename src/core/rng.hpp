@@ -44,11 +44,6 @@ class Rng {
                                                     : next_below(span));
   }
 
-  /// Uniform double in [0, 1).
-  double next_double() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
-
   /// Derive an independent child stream (for per-thread / per-trial seeds).
   Rng split() { return Rng(next_u64() ^ 0xA5A5A5A5A5A5A5A5ULL); }
 

@@ -6,14 +6,22 @@
 // heap-scattered frames — bounds the engine (docs/PERF.md "Measured
 // trajectory").  The engine therefore activates an arena for the span of
 // a run via FrameArena::Scope; the class-level operator new of the
-// promise types (machine/task.hpp) bump-allocates every frame from the
-// active arena, and operator delete is a no-op for arena frames: the
-// memory is reclaimed wholesale by reset() at the start of the next run.
+// promise types (machine/task.hpp) takes every frame from the active
+// arena.  A frame destroyed while its arena is active on the destroying
+// thread goes onto the arena's free list for its size, and the next
+// frame of that size reuses it — so a run's arena grows with the frames
+// ALIVE at once, not with every device-subroutine call it ever made.
+// Any other arena frame is reclaimed wholesale by reset() at the start
+// of the next run.
 //
 // Contract:
 //  * An arena is single-threaded.  The thread that activates it performs
-//    every allocation; SweepRunner gives each worker thread its own
-//    arena (run/sweep.cpp) precisely so arenas never cross threads.
+//    every allocation.  Arenas reach runs through
+//    Machine::WorkerResources, one per thread that runs machines: each
+//    run::SweepRunner worker registers its own for the thread's lifetime
+//    (Machine::set_thread_resources), and each engine worker of a
+//    threaded run uses its own slot of the machine's registry, precisely
+//    so arenas never cross threads.
 //  * reset() may only run while no frame allocated from the arena is
 //    alive.  The engine guarantees this: it owns every SimTask of a run
 //    (frames die with the Engine), and it resets the arena at run start,
@@ -25,6 +33,7 @@
 //    time, in any order.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -78,6 +87,7 @@ class FrameArena {
     offset_ = 0;
     bytes_in_use_ = 0;
     allocations_ = 0;
+    std::fill(free_.begin(), free_.end(), nullptr);
   }
 
   // ---- stats (tests, benchmarks) ---------------------------------------
@@ -111,34 +121,35 @@ class FrameArena {
 
   // ---- frame routing (machine/task.hpp promise operator new/delete) ----
   //
-  // Each frame is preceded by a kAlignment-sized header whose first word
-  // tags the allocation path, so deallocate_frame needs no thread-local
-  // state: a frame outliving the scope that created it (the normal case
-  // — frames die with the Engine, after Engine::run's scope closed) is
-  // still routed correctly.
+  // Each frame is preceded by a kAlignment-sized header naming the arena
+  // that allocated it (nullptr: global new) and the block size, so a
+  // frame outliving the scope that created it (the normal case — frames
+  // die with the Engine, after Engine::run's scope closed) is still
+  // routed correctly.
 
   static void* allocate_frame(std::size_t size) {
-    const std::size_t total = size + kAlignment;
-    std::byte* base;
-    std::uintptr_t tag;
-    if (FrameArena* arena = current_) {
-      base = static_cast<std::byte*>(arena->allocate(total));
-      tag = 1;
-    } else {
-      base = static_cast<std::byte*>(::operator new(total));
-      tag = 0;
-    }
-    ::new (static_cast<void*>(base)) std::uintptr_t(tag);
-    return base + kAlignment;
+    const std::size_t total = align_up(size + kAlignment);
+    FrameArena* const arena = current_;
+    void* const base =
+        arena != nullptr ? arena->take(total) : ::operator new(total);
+    ::new (base) FrameHeader{arena, total};
+    return static_cast<std::byte*>(base) + kAlignment;
   }
 
   static void deallocate_frame(void* frame) noexcept {
     if (frame == nullptr) return;
-    std::byte* base = static_cast<std::byte*>(frame) - kAlignment;
-    if (*std::launder(reinterpret_cast<std::uintptr_t*>(base)) == 0) {
+    void* base = static_cast<std::byte*>(frame) - kAlignment;
+    const FrameHeader header = *std::launder(static_cast<FrameHeader*>(base));
+    if (header.arena == nullptr) {
       ::operator delete(base);
+      return;
     }
-    // Arena frames: no-op; the memory returns with the next reset().
+    // Only the thread the arena is active on may touch it; a frame freed
+    // anywhere else returns with the next reset().
+    if (header.arena != current_) return;
+    void*& head = header.arena->free_[header.size / kAlignment];
+    *static_cast<void**>(base) = head;
+    head = base;
   }
 
  private:
@@ -146,6 +157,22 @@ class FrameArena {
     std::unique_ptr<std::byte[]> data;
     std::size_t size = 0;
   };
+  struct FrameHeader {
+    FrameArena* arena;
+    std::size_t size;
+  };
+  static_assert(sizeof(FrameHeader) <= kAlignment);
+
+  /// A `total`-byte frame block: a freed one of that size if any, else
+  /// a bump allocation.  Sizes free_ so deallocate_frame can index it.
+  void* take(std::size_t total) {
+    const std::size_t size_class = total / kAlignment;
+    if (size_class >= free_.size()) free_.resize(size_class + 1, nullptr);
+    void* const block = free_[size_class];
+    if (block == nullptr) return allocate(total);
+    free_[size_class] = *static_cast<void**>(block);
+    return block;
+  }
 
   static constexpr std::size_t align_up(std::size_t bytes) {
     return (bytes + kAlignment - 1) & ~(kAlignment - 1);
@@ -157,6 +184,9 @@ class FrameArena {
   std::size_t offset_ = 0;   ///< bump offset within the active chunk
   std::size_t bytes_in_use_ = 0;
   std::size_t allocations_ = 0;
+  /// Free-list heads by size class (bytes / kAlignment); each free block
+  /// stores the next pointer in its first word.
+  std::vector<void*> free_;
 
   inline static thread_local FrameArena* current_ = nullptr;
 };

@@ -15,25 +15,24 @@
 namespace hmm {
 
 namespace {
-// Per-thread default hooks (Machine::set_thread_frame_arena et al.).
-// Plain thread_local pointers: registration and every use happen on the
+// Per-thread defaults (Machine::set_thread_resources et al.).  Plain
+// thread-local variables: registration and every use happen on the
 // owning thread, so no synchronisation is involved.
-thread_local FrameArena* t_default_arena = nullptr;
-thread_local PatternCache* t_default_cache = nullptr;
+thread_local Machine::WorkerResources* t_resources = nullptr;
 // Default for MachineConfig::threads == 0 (set_thread_engine_threads).
 thread_local std::int64_t t_default_threads = 1;
 // Topology overlay consulted by Machine::hmm (set_thread_machine_overlay).
 thread_local const MachineOverlay* t_default_overlay = nullptr;
 }  // namespace
 
-void Machine::set_thread_frame_arena(FrameArena* arena) {
-  t_default_arena = arena;
+void Machine::set_thread_resources(WorkerResources* resources) {
+  t_resources = resources;
 }
-FrameArena* Machine::thread_frame_arena() { return t_default_arena; }
-void Machine::set_thread_pattern_cache(PatternCache* cache) {
-  t_default_cache = cache;
+Machine::WorkerResources* Machine::thread_resources() { return t_resources; }
+
+const FrameArena& Machine::frame_arena() const {
+  return (t_resources != nullptr ? *t_resources : resources_).arena;
 }
-PatternCache* Machine::thread_pattern_cache() { return t_default_cache; }
 
 void Machine::set_thread_engine_threads(std::int64_t threads) {
   t_default_threads = threads < 1 ? 1 : threads;
@@ -45,21 +44,6 @@ void Machine::set_thread_machine_overlay(const MachineOverlay* overlay) {
 }
 const MachineOverlay* Machine::thread_machine_overlay() {
   return t_default_overlay;
-}
-
-Machine::WorkerResources& Machine::worker_resources(std::int64_t index) {
-  HMM_REQUIRE(index >= 0, "worker resource slot must be non-negative");
-  while (worker_resource_count() <= index) {
-    worker_resources_.push_back(std::make_unique<WorkerResources>());
-  }
-  return *worker_resources_[static_cast<std::size_t>(index)];
-}
-
-void Machine::trim_worker_resources(std::int64_t count) {
-  if (count < 0) count = 0;
-  if (worker_resource_count() > count) {
-    worker_resources_.resize(static_cast<std::size_t>(count));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -728,61 +712,51 @@ RunReport Engine::run() {
   nshards = std::min(nshards, machine_.num_dmms());
   if (machine_.observer_ != nullptr) nshards = 1;
   threaded_ = nshards > 1;
-  // Re-running with fewer threads must not keep stale worker arenas (and
-  // their chunks) alive for workers that no longer exist.
-  machine_.trim_worker_resources(nshards - 1);
 
-  // Round-pattern memoization (mm/pattern_cache.hpp).  The cache is pure
-  // memoization of exact profiles, so it stays on even under observation;
-  // the REPLAY shortcut falls back to full simulation whenever an
-  // observer is attached, so observers always see every batch event.
-  PatternCache* cache0 = nullptr;
-  if (machine_.config_.fast_forward) {
-    cache0 = machine_.external_cache_ != nullptr ? machine_.external_cache_
-             : Machine::thread_pattern_cache() != nullptr
-                 ? Machine::thread_pattern_cache()
-                 : &machine_.cache_;
+  // Each engine worker draws its frame arena and pattern cache from one
+  // Machine::WorkerResources: worker 0 (the calling thread) from the
+  // thread's registered resources, otherwise the machine's own; worker
+  // k >= 1 from slot k-1 of the machine's per-worker registry.  Slots are
+  // created on demand, and re-running with fewer threads must not keep
+  // stale arenas (and their chunks) alive for workers that no longer
+  // exist.  Resetting the arenas is safe — frames die with the Engine,
+  // and the previous run's engine is long gone.  The pattern cache is
+  // pure memoization of exact profiles, so it stays on even under
+  // observation; the REPLAY shortcut falls back to full simulation
+  // whenever an observer is attached, so observers always see every
+  // batch event.
+  auto& slots = machine_.worker_resources_;
+  slots.resize(static_cast<std::size_t>(nshards - 1));
+  for (auto& slot : slots) {
+    if (slot == nullptr) slot = std::make_unique<Machine::WorkerResources>();
   }
-  replay_enabled_ = cache0 != nullptr && machine_.observer_ == nullptr;
-
-  // Activate the coroutine frame arena for the WHOLE run: SimTask frames
-  // are created at launch, but SubTask frames are created whenever a
-  // thread enters a device subroutine mid-run, so the scope must span
-  // the scheduling loop too.  Resetting here is safe — frames die with
-  // the Engine, and the previous run's engine is long gone.  With
-  // use_frame_arena off the scope still opens (with nullptr), shielding
-  // this run from any arena an outer caller may have activated.
-  // Workers draw their arena and cache from the machine's per-worker
-  // registry (slot k-1 serves worker k); worker 0 is the calling thread
-  // and keeps the machine's own resolution, so serial runs are untouched.
-  FrameArena* arena = nullptr;
-  if (machine_.config_.use_frame_arena) {
-    arena = machine_.external_arena_ != nullptr ? machine_.external_arena_
-            : Machine::thread_frame_arena() != nullptr
-                ? Machine::thread_frame_arena()
-                : &machine_.arena_;
-    arena->reset();
-  }
-  const FrameArena::Scope arena_scope(arena);
-
   shards_.resize(static_cast<std::size_t>(nshards));
   for (std::int64_t k = 0; k < nshards; ++k) {
     Shard& s = shards_[static_cast<std::size_t>(k)];
     s.index = k;
-    if (k == 0) {
-      s.cache = cache0;
-      s.arena = arena;  // scope already active on the calling thread
-    } else {
-      Machine::WorkerResources& res = machine_.worker_resources(k - 1);
-      s.cache = cache0 != nullptr ? &res.cache : nullptr;
-      if (machine_.config_.use_frame_arena) {
-        s.arena = &res.arena;
-        s.arena->reset();  // pre-spawn: no frames live, no thread yet
-      }
+    Machine::WorkerResources& res =
+        k > 0                  ? *slots[static_cast<std::size_t>(k - 1)]
+        : t_resources != nullptr ? *t_resources
+                                 : machine_.resources_;
+    if (machine_.config_.fast_forward) s.cache = &res.cache;
+    if (machine_.config_.use_frame_arena) {
+      s.arena = &res.arena;
+      s.arena->reset();  // no frames live, no worker thread yet
     }
     s.cache_hits0 = s.cache != nullptr ? s.cache->hits() : 0;
     s.cache_misses0 = s.cache != nullptr ? s.cache->misses() : 0;
   }
+
+  replay_enabled_ =
+      shards_.front().cache != nullptr && machine_.observer_ == nullptr;
+
+  // Activate worker 0's frame arena for the WHOLE run: SimTask frames
+  // are created at launch, but SubTask frames are created whenever a
+  // thread enters a device subroutine mid-run, so the scope must span
+  // the scheduling loop too.  With use_frame_arena off the scope still
+  // opens (with nullptr), shielding this run from any arena an outer
+  // caller may have activated.
+  const FrameArena::Scope arena_scope(shards_.front().arena);
 
   launch_threads();
   report_.threads = machine_.num_threads();

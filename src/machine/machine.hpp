@@ -175,55 +175,39 @@ class Machine {
   void set_observer(EngineObserver* observer) { observer_ = observer; }
   EngineObserver* observer() const { return observer_; }
 
-  // ---- coroutine frame allocation (machine/frame_arena.hpp) ------------
-  /// Replace the machine-owned frame arena with an external one for all
-  /// subsequent runs (nullptr restores the owned arena).  The active
-  /// arena is reset at the start of every run, so it must be dedicated
-  /// to this machine's runs, must outlive them, and must never be shared
-  /// across threads.  SweepRunner attaches one arena per worker thread
-  /// so chunk allocation is paid once per worker, not once per grid
-  /// point.  Ignored when MachineConfig::use_frame_arena is false.
-  void set_frame_arena(FrameArena* arena) { external_arena_ = arena; }
-  /// The arena the next run will use (the owned one unless overridden).
-  const FrameArena& frame_arena() const {
-    return external_arena_ != nullptr ? *external_arena_ : arena_;
-  }
-
   // ---- round-pattern memoization (mm/pattern_cache.hpp) ----------------
   /// Enable/disable the pattern cache AND the fast-forward replay for all
   /// subsequent runs (overrides MachineConfig::fast_forward).
   void set_fast_forward(bool enabled) { config_.fast_forward = enabled; }
-  bool fast_forward_enabled() const { return config_.fast_forward; }
-  /// Replace the machine-owned pattern cache with an external one for all
-  /// subsequent runs (nullptr restores the owned cache).  Same contract
-  /// as set_frame_arena: not owned, must outlive the runs, never shared
-  /// across threads.  SweepRunner attaches one cache per worker thread so
-  /// warm profiles carry across grid points.  Unlike the arena, the
-  /// cache is NOT reset between runs — entries are geometry-keyed and
-  /// remain exact forever.
-  void set_pattern_cache(PatternCache* cache) { external_cache_ = cache; }
-  /// The cache the next run will use (the owned one unless overridden).
-  const PatternCache& pattern_cache() const {
-    return external_cache_ != nullptr ? *external_cache_ : cache_;
-  }
 
-  // ---- per-thread default hooks ----------------------------------------
-  /// Thread-local fallbacks for the two hooks above: a machine whose
-  /// set_frame_arena / set_pattern_cache was never called adopts the
-  /// CALLING thread's default (when one is registered) at run start,
-  /// instead of its owned arena/cache.  This is how a persistent worker
-  /// pool warms arenas under the convenience drivers (alg::sum_hmm etc.)
-  /// that construct Machines internally, out of the pool's reach: the
-  /// worker registers its arena once at thread start and every machine it
-  /// ever builds allocates frames from it.  Same ownership contract as
-  /// the per-machine hooks — not owned, must outlive every run on this
-  /// thread, never shared across threads; nullptr deregisters.  Warmth
-  /// never changes results: arenas hold transient coroutine frames and
-  /// pattern-cache entries are geometry-keyed exact profiles.
-  static void set_thread_frame_arena(FrameArena* arena);
-  static FrameArena* thread_frame_arena();
-  static void set_thread_pattern_cache(PatternCache* cache);
-  static PatternCache* thread_pattern_cache();
+  // ---- run resources (frame arena + pattern cache) ---------------------
+  /// The FrameArena (machine/frame_arena.hpp) and PatternCache
+  /// (mm/pattern_cache.hpp) one thread's runs draw from.  A run resets
+  /// the arena at its start (chunks are kept) and never resets the cache
+  /// (entries are geometry-keyed exact profiles, valid for any machine),
+  /// so a holder reused across runs stays WARM.  Warmth never changes
+  /// results.  It is the one holder for both kinds of worker: each
+  /// run::SweepRunner worker owns one for its thread's lifetime, and each
+  /// engine worker i >= 1 of a threaded run uses slot i-1 of the
+  /// machine's registry (worker_resource_count() below).
+  struct WorkerResources {
+    FrameArena arena;
+    PatternCache cache;
+  };
+
+  /// Register `resources` as the CALLING thread's run resources (nullptr
+  /// deregisters).  While registered, every run started on this thread —
+  /// by any Machine, including those the convenience drivers
+  /// (alg::sum_hmm etc.) build internally — uses them for engine worker
+  /// 0 instead of the machine's own.  Not owned; must outlive the
+  /// registration and every run under it, and must never be registered
+  /// on two threads at once.
+  static void set_thread_resources(WorkerResources* resources);
+  static WorkerResources* thread_resources();
+
+  /// The arena the next run on this thread will use: the thread's
+  /// registered resources, otherwise the machine's own.
+  const FrameArena& frame_arena() const;
 
   // ---- machine topology overlay ----------------------------------------
   /// Thread-local MachineOverlay consulted by the Machine::hmm factory:
@@ -232,8 +216,8 @@ class Machine {
   /// count must match — a driver constructing a differently-shaped
   /// machine under an overlay is a precondition error).  This is how a
   /// non-trivial --machine topology reaches the span drivers; see
-  /// run::run_point.  Same contract as the hooks above: not owned, must
-  /// outlive the registration, never shared across threads; nullptr
+  /// run::run_point.  Same contract as set_thread_resources: not owned,
+  /// must outlive the registration, never shared across threads; nullptr
   /// deregisters.  Machine::dmm / Machine::umm ignore the overlay.
   static void set_thread_machine_overlay(const MachineOverlay* overlay);
   static const MachineOverlay* thread_machine_overlay();
@@ -244,30 +228,21 @@ class Machine {
   void set_engine_threads(std::int64_t threads) { config_.threads = threads; }
   std::int64_t engine_threads() const { return config_.threads; }
   /// Thread-local default for MachineConfig::threads == 0, mirroring
-  /// set_thread_frame_arena: the convenience drivers (alg::sum_hmm etc.)
+  /// set_thread_resources: the convenience drivers (alg::sum_hmm etc.)
   /// build Machines internally, so run::run_point registers the resolved
   /// --threads value here for the duration of one point dispatch.
   /// Values < 1 reset the default to 1.
   static void set_thread_engine_threads(std::int64_t threads);
   static std::int64_t thread_engine_threads();
 
-  /// Per-engine-worker resources.  Engine worker i >= 1 (worker 0 is the
-  /// calling thread, which uses the machine's own resolution: external
-  /// hook, then thread default, then owned) draws its FrameArena and
-  /// PatternCache from slot i-1 of this machine-owned registry, so the
-  /// PR-6 memoization stays race-free and arenas warm across runs.
-  /// Slots are created on demand and TRIMMED to the new worker count at
-  /// run start — re-running with fewer threads must not keep stale
-  /// arenas (and their chunks) alive for workers that no longer exist.
-  struct WorkerResources {
-    FrameArena arena;
-    PatternCache cache;
-  };
-  WorkerResources& worker_resources(std::int64_t index);
+  /// Engine worker i >= 1 of a threaded run (worker 0 is the calling
+  /// thread) draws its resources from slot i-1 of a machine-owned
+  /// registry, so the memoization stays race-free and arenas warm across
+  /// runs.  Each run sizes the registry to its worker count, so
+  /// re-running with fewer threads frees the extra slots.
   std::int64_t worker_resource_count() const {
     return static_cast<std::int64_t>(worker_resources_.size());
   }
-  void trim_worker_resources(std::int64_t count);
 
  private:
   friend class Engine;
@@ -287,30 +262,31 @@ class Machine {
   std::vector<Port> shared_;      // one per DMM when configured
   std::optional<Port> global_;
   EngineObserver* observer_ = nullptr;  // not owned
-  FrameArena arena_;                    // frames of this machine's runs
-  FrameArena* external_arena_ = nullptr;  // not owned; overrides arena_
-  PatternCache cache_;                    // priced round patterns
-  PatternCache* external_cache_ = nullptr;  // not owned; overrides cache_
-  // Slot i serves engine worker i+1; unique_ptr keeps slots address-stable
-  // while the registry grows (workers hold references across a run).
+  // Frames and priced round patterns of runs on a thread that registered
+  // no resources of its own.
+  WorkerResources resources_;
+  // Slot i serves engine worker i+1 (unique_ptr: a WorkerResources can
+  // neither be copied nor moved).
   std::vector<std::unique_ptr<WorkerResources>> worker_resources_;
 };
 
-/// RAII registration of a thread-local MachineOverlay for the span of one
-/// dispatch (mirrors run::run_point's EngineThreadsScope): restores the
-/// previous registration even when the guarded code throws.
-class MachineOverlayScope {
+/// RAII registration of one per-thread default (a Machine::set_thread_*
+/// hook) for the span of one dispatch: restores the previous
+/// registration even when the guarded code throws.
+template <typename T, T (*Get)(), void (*Set)(T)>
+class ThreadDefaultScope {
  public:
-  explicit MachineOverlayScope(const MachineOverlay* overlay)
-      : saved_(Machine::thread_machine_overlay()) {
-    Machine::set_thread_machine_overlay(overlay);
-  }
-  ~MachineOverlayScope() { Machine::set_thread_machine_overlay(saved_); }
-  MachineOverlayScope(const MachineOverlayScope&) = delete;
-  MachineOverlayScope& operator=(const MachineOverlayScope&) = delete;
+  explicit ThreadDefaultScope(T value) : saved_(Get()) { Set(value); }
+  ~ThreadDefaultScope() { Set(saved_); }
+  ThreadDefaultScope(const ThreadDefaultScope&) = delete;
+  ThreadDefaultScope& operator=(const ThreadDefaultScope&) = delete;
 
  private:
-  const MachineOverlay* saved_;
+  T saved_;
 };
+
+using MachineOverlayScope =
+    ThreadDefaultScope<const MachineOverlay*, &Machine::thread_machine_overlay,
+                       &Machine::set_thread_machine_overlay>;
 
 }  // namespace hmm

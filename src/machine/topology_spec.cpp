@@ -1,11 +1,9 @@
 #include "machine/topology_spec.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <initializer_list>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "core/json.hpp"
@@ -562,14 +560,12 @@ TopologySpec parse_topology_text(std::string_view text,
 }
 
 TopologySpec parse_topology_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = json::read_document(path);
+  if (!text) {
     throw TopologySpecError("machine description " + path +
                             ": cannot open file");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_topology_text(buf.str(), path);
+  return parse_topology_text(*text, path);
 }
 
 TopologySpec synthesize_topology(const std::string& name, std::int64_t p,

@@ -18,19 +18,9 @@ namespace {
 // out of reach of MachineConfig, so the resolved thread count travels as
 // the calling thread's engine default for exactly the span of one
 // dispatch.  RAII so precondition throws below restore the default too.
-class EngineThreadsScope {
- public:
-  explicit EngineThreadsScope(std::int64_t threads)
-      : saved_(Machine::thread_engine_threads()) {
-    Machine::set_thread_engine_threads(threads < 1 ? saved_ : threads);
-  }
-  ~EngineThreadsScope() { Machine::set_thread_engine_threads(saved_); }
-  EngineThreadsScope(const EngineThreadsScope&) = delete;
-  EngineThreadsScope& operator=(const EngineThreadsScope&) = delete;
-
- private:
-  std::int64_t saved_;
-};
+using EngineThreadsScope =
+    ThreadDefaultScope<std::int64_t, &Machine::thread_engine_threads,
+                       &Machine::set_thread_engine_threads>;
 
 // A non-trivial topology reaches the span drivers as a thread-local
 // MachineOverlay; trivial specs and plain flags take the untouched path.
@@ -71,7 +61,8 @@ PointShape::PointShape(const Point& point)
 
 PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
                        EngineObserver* observer) {
-  const EngineThreadsScope threads_scope(o.threads);
+  const EngineThreadsScope threads_scope(
+      o.threads < 1 ? Machine::thread_engine_threads() : o.threads);
   const bool hmm_model = o.model == "hmm";
   const PointShape shape(o);
   const std::int64_t pd = shape.threads_per_dmm();

@@ -1,15 +1,22 @@
-// SweepRunner — multi-threaded execution of independent simulation grid
+// SweepRunner — the one worker pool for independent simulation grid
 // points.
 //
 // Nakano's model is deterministic: a (MachineConfig, kernel, inputs)
-// triple fully determines the RunReport.  Parameter sweeps — the bread
-// and butter of every bench/ablation binary and of hmmsim — therefore
+// triple fully determines the RunReport.  Parameter sweeps — hmmsim
+// --jobs, the bench/ablation binaries and the hmmsimd daemon — therefore
 // decompose into embarrassingly parallel grid points.  SweepRunner runs
-// them across a std::thread pool in which every worker owns its own
-// Machine (and its own coroutine FrameArena, reused across the worker's
-// grid points — see Machine::set_frame_arena); nothing is shared between
-// grid points, so results are BIT-IDENTICAL regardless of the thread
-// count (locked by tests/determinism_test.cpp).
+// them on a PERSISTENT pool: its threads start in the constructor and are
+// joined in the destructor, and each worker owns one
+// Machine::WorkerResources (frame arena + pattern cache) registered as
+// its thread's resources for as long as the thread lives.  Every Machine
+// a worker runs — including those the convenience drivers build
+// internally — therefore allocates frames and prices round patterns from
+// a warm arena and cache.  Warmth never changes results, so reports are
+// BIT-IDENTICAL regardless of the job count (locked by
+// tests/determinism_test.cpp).  With jobs == 1 there are no threads: the
+// caller runs every index itself with the runner's own resources
+// registered for the call, and its previous registration is restored
+// afterwards.
 //
 // Two entry points:
 //
@@ -19,13 +26,15 @@
 //
 // for_each hands out indices through an atomic counter (dynamic load
 // balancing: grid points can differ in cost by orders of magnitude) and
-// rethrows the first worker exception after joining every thread.
-// Callers aggregate by index, never by completion order, to stay
-// deterministic.
+// rethrows the first exception once the batch has drained; the runner
+// stays usable.  One dispatcher at a time: a nested or concurrent
+// for_each on the same runner throws PreconditionError.  Callers
+// aggregate by index, never by completion order, to stay deterministic.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -52,16 +61,21 @@ struct SweepJob {
 
 class SweepRunner {
  public:
-  /// `jobs` worker threads; 0 picks std::thread::hardware_concurrency()
-  /// (at least 1).  jobs == 1 never spawns a thread at all.
+  /// Start `jobs` worker threads; 0 picks
+  /// std::thread::hardware_concurrency() (at least 1).  jobs == 1 never
+  /// spawns a thread at all.
   explicit SweepRunner(std::int64_t jobs = 0);
+  ~SweepRunner();  ///< joins the workers
+  SweepRunner(const SweepRunner&) = delete;
+  SweepRunner& operator=(const SweepRunner&) = delete;
 
   std::int64_t jobs() const { return jobs_; }
 
   /// Invoke fn(i) once for every i in [0, count), distributed over the
   /// pool.  Blocks until all indices completed; rethrows the first
-  /// worker exception (remaining workers drain without starting new
-  /// indices).
+  /// exception once in-flight indices finished (no new index starts
+  /// after a failure).  Throws PreconditionError when another for_each
+  /// on this runner is in progress (nested or from another thread).
   void for_each(std::int64_t count,
                 const std::function<void(std::int64_t)>& fn) const;
 
@@ -69,7 +83,10 @@ class SweepRunner {
   std::vector<RunReport> run(std::span<const SweepJob> sweep) const;
 
  private:
+  class Pool;
+
   std::int64_t jobs_;
+  std::unique_ptr<Pool> pool_;
 };
 
 /// Resolve a `--threads` request (engine workers INSIDE one run) against

@@ -82,10 +82,6 @@ std::optional<Frame> Client::read_frame() {
   return frame_from_json(json::parse(*line));
 }
 
-void Client::finish_sending() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 void Client::close() {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -43,10 +43,6 @@ class Client {
   /// read_line + frame_from_json; nullopt on EOF.
   std::optional<Frame> read_frame();
 
-  /// Half-close our sending side (tells the daemon we have no more
-  /// requests) while continuing to read frames.
-  void finish_sending();
-
   void close();
   bool connected() const { return fd_ >= 0; }
 

@@ -68,74 +68,6 @@ std::shared_ptr<const topo::TopologySpec> resolve_machine(
 
 }  // namespace
 
-// ---- WorkerPool ----------------------------------------------------------
-
-WorkerPool::WorkerPool(int jobs) : jobs_(jobs) {
-  HMM_REQUIRE(jobs >= 1, "worker pool: jobs must be >= 1");
-  threads_.reserve(static_cast<std::size_t>(jobs));
-  for (int i = 0; i < jobs; ++i) {
-    threads_.emplace_back([this] { worker(); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void WorkerPool::for_each(std::int64_t count,
-                          const std::function<void(std::int64_t)>& fn) {
-  if (count <= 0) return;
-  std::unique_lock<std::mutex> lk(mu_);
-  fn_ = &fn;
-  count_ = count;
-  workers_done_ = 0;
-  next_.store(0, std::memory_order_relaxed);
-  ++generation_;
-  work_cv_.notify_all();
-  done_cv_.wait(lk, [this] { return workers_done_ == jobs_; });
-  fn_ = nullptr;
-}
-
-void WorkerPool::worker() {
-  // The whole point of a persistent pool: this arena and pattern cache
-  // live for the daemon's lifetime and stay warm across requests.  Every
-  // Machine an algorithm driver builds on this thread adopts them
-  // (Machine::set_thread_frame_arena) — warmth never changes results.
-  FrameArena arena;
-  PatternCache cache;
-  Machine::set_thread_frame_arena(&arena);
-  Machine::set_thread_pattern_cache(&cache);
-  std::int64_t seen_generation = 0;
-  while (true) {
-    const std::function<void(std::int64_t)>* fn = nullptr;
-    std::int64_t count = 0;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] { return stop_ || generation_ != seen_generation; });
-      if (stop_) break;
-      seen_generation = generation_;
-      fn = fn_;
-      count = count_;
-    }
-    while (true) {
-      const std::int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      (*fn)(i);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (++workers_done_ == jobs_) done_cv_.notify_all();
-    }
-  }
-  Machine::set_thread_frame_arena(nullptr);
-  Machine::set_thread_pattern_cache(nullptr);
-}
-
 // ---- Server --------------------------------------------------------------
 
 Server::Connection::~Connection() {
@@ -179,7 +111,7 @@ void Server::start() {
   if (::pipe(wake_pipe_) != 0) {
     throw PreconditionError(std::string("pipe: ") + std::strerror(errno));
   }
-  pool_ = std::make_unique<WorkerPool>(config_.jobs);
+  pool_.emplace(config_.jobs);
   executor_ = std::thread([this] { executor_loop(); });
 }
 
@@ -542,13 +474,15 @@ void Server::execute_run(QueuedRun job) {
   done.telemetry_frames = telemetry_frames.load(std::memory_order_relaxed);
   done.telemetry_dropped = telemetry_dropped.load(std::memory_order_relaxed);
   done.skipped = skipped.load(std::memory_order_relaxed);
-  send_frame(job.conn, done);
+  // Count the request before the done frame leaves: a client that asks
+  // for stats right after `done` must see it.
   job.conn->served.fetch_add(1, std::memory_order_relaxed);
   if (failed.load(std::memory_order_relaxed) > 0) {
     stats_.requests_failed.fetch_add(1, std::memory_order_relaxed);
   } else {
     stats_.requests_completed.fetch_add(1, std::memory_order_relaxed);
   }
+  send_frame(job.conn, done);
 }
 
 void Server::broadcast_heartbeat() {

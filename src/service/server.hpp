@@ -13,11 +13,13 @@
 //    grid through the worker pool — results, metrics, telemetry and drop
 //    frames interleave on the wire as points finish, each tagged with
 //    (req, grid_index);
-//  * a persistent WORKER pool (config.jobs threads): each worker
-//    registers a thread-default FrameArena and PatternCache with the
-//    Machine (machine/machine.hpp) at startup, so arenas and pattern
-//    caches stay WARM across requests — the latency edge a daemon has
-//    over forking `hmmsim` per sweep, measured by bench_service.
+//  * the WORKER pool, a run::SweepRunner of config.jobs (the same pool
+//    hmmsim --jobs uses; with jobs == 1 the executor runs the points
+//    itself).  The executor is its one dispatcher.  Each worker's
+//    Machine::WorkerResources (frame arena + pattern cache) lives as
+//    long as the pool, so arenas and pattern caches stay WARM across
+//    requests — the latency edge a daemon has over forking `hmmsim` per
+//    sweep, measured by bench_service.
 //
 // Determinism: every grid point runs run::run_point — the same dispatch
 // the CLI uses — and result frames carry the finished sweep-CSV row, so
@@ -35,14 +37,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "alg/workload.hpp"
+#include "run/sweep.hpp"
 #include "service/address.hpp"
 #include "service/protocol.hpp"
 #include "service/stats.hpp"
@@ -61,39 +64,6 @@ struct ServerConfig {
   /// may select by `machine_preset` name.  Empty = presets disabled;
   /// inline `machine` objects are always accepted (docs/TOPOLOGY.md).
   std::string machines_dir;
-};
-
-/// Persistent worker pool with warmed per-thread arenas/pattern caches.
-/// One dispatcher at a time (the server's executor thread) hands it a
-/// (count, fn) batch; workers claim indices through an atomic cursor.
-class WorkerPool {
- public:
-  explicit WorkerPool(int jobs);
-  ~WorkerPool();
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  int jobs() const { return jobs_; }
-
-  /// Run fn(0..count-1), each index exactly once, across the pool;
-  /// returns when all indices finished.  `fn` must not throw — callers
-  /// convert per-index failures into error frames themselves.
-  void for_each(std::int64_t count, const std::function<void(std::int64_t)>& fn);
-
- private:
-  void worker();
-
-  const int jobs_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::int64_t)>* fn_ = nullptr;  // guarded by mu_
-  std::int64_t count_ = 0;                                 // guarded by mu_
-  std::int64_t generation_ = 0;                            // guarded by mu_
-  std::int64_t workers_done_ = 0;                          // guarded by mu_
-  bool stop_ = false;                                      // guarded by mu_
-  std::atomic<std::int64_t> next_{0};
 };
 
 class Server {
@@ -165,7 +135,7 @@ class Server {
   ServerConfig config_;
   ServiceStats stats_;
   alg::WorkloadCache workloads_;
-  std::unique_ptr<WorkerPool> pool_;
+  std::optional<run::SweepRunner> pool_;  ///< started by start()
 
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< self-pipe: request_drain -> serve loop

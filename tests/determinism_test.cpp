@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -258,13 +259,89 @@ TEST(FastForwardEquivalence, MetricsObserverSeesIdenticalRuns) {
 }
 
 TEST(Determinism, SweepPropagatesWorkerExceptions) {
+  const run::SweepRunner pool(4);
   EXPECT_THROW(
-      run::SweepRunner(4).for_each(
+      pool.for_each(
           16,
           [](std::int64_t i) {
             if (i == 7) throw PreconditionError("boom at 7");
           }),
       PreconditionError);
+  // The failed batch drained; the same pool serves the next one whole.
+  std::vector<int> hits(16, 0);
+  pool.for_each(16,
+                [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << "index " << i;
+  }
+}
+
+// ---- SweepRunner: the one worker pool ----------------------------------
+
+std::vector<RunReport> sum_batch(const run::SweepRunner& pool,
+                                 std::span<const Word> xs) {
+  std::vector<RunReport> reports(4);
+  pool.for_each(4, [&](std::int64_t i) {
+    reports[static_cast<std::size_t>(i)] =
+        alg::sum_hmm(xs, 4, 32, 32, 100).report;
+  });
+  return reports;
+}
+
+TEST(SweepRunner, WorkersKeepTheirResourcesWarmAcrossCalls) {
+  const auto xs = alg::random_words(1 << 12, 5);
+  const run::SweepRunner serial(1);
+  const std::vector<RunReport> first = sum_batch(serial, xs);
+  const std::vector<RunReport> second = sum_batch(serial, xs);
+  EXPECT_GT(first.front().fast_forward.cache_misses, 0);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    // The driver built a new Machine, yet priced nothing: the runner's
+    // pattern cache outlived the first call.
+    EXPECT_EQ(second[i].fast_forward.cache_misses, 0) << "index " << i;
+    EXPECT_EQ(first[i], first.front()) << "index " << i;
+    EXPECT_EQ(second[i], first.front()) << "index " << i;
+  }
+  const run::SweepRunner pooled(2);
+  for (int call = 0; call < 2; ++call) {
+    for (const RunReport& r : sum_batch(pooled, xs)) {
+      EXPECT_EQ(r, first.front()) << "call " << call;
+    }
+  }
+}
+
+TEST(SweepRunner, NestedForEachThrowsInsteadOfDeadlocking) {
+  for (const std::int64_t jobs : {1, 2}) {
+    const run::SweepRunner pool(jobs);
+    EXPECT_THROW(pool.for_each(2,
+                               [&](std::int64_t) {
+                                 pool.for_each(1, [](std::int64_t) {});
+                               }),
+                 PreconditionError)
+        << jobs << " jobs";
+    std::int64_t runs = 0;
+    pool.for_each(1, [&](std::int64_t) { ++runs; });
+    EXPECT_EQ(runs, 1) << jobs << " jobs";
+  }
+}
+
+TEST(SweepRunner, SerialRunnerLendsItsResourcesForTheCallOnly) {
+  Machine::WorkerResources mine;
+  Machine::set_thread_resources(&mine);
+  const run::SweepRunner serial(1);
+  Machine::WorkerResources* during = nullptr;
+  serial.for_each(1, [&](std::int64_t) {
+    during = Machine::thread_resources();
+  });
+  EXPECT_NE(during, nullptr);
+  EXPECT_NE(during, &mine);
+  EXPECT_EQ(Machine::thread_resources(), &mine);
+  EXPECT_THROW(serial.for_each(1,
+                               [](std::int64_t) {
+                                 throw PreconditionError("boom");
+                               }),
+               PreconditionError);
+  EXPECT_EQ(Machine::thread_resources(), &mine);
+  Machine::set_thread_resources(nullptr);
 }
 
 }  // namespace

@@ -143,17 +143,35 @@ TEST(FrameArenaTest, RepeatedRunsAreIdenticalAndReuseTheArena) {
 }
 
 TEST(FrameArenaTest, ExternalArenaIsUsedAndReachesSteadyState) {
-  FrameArena arena;
+  Machine::WorkerResources resources;
+  FrameArena& arena = resources.arena;
   Machine machine(barrier_config(true));
-  machine.set_frame_arena(&arena);
+  Machine::set_thread_resources(&resources);
   const RunReport first = machine.run(barrier_kernel);
   EXPECT_GT(arena.capacity_bytes(), 0u);  // frames came from OUR arena
   const std::size_t warm_capacity = arena.capacity_bytes();
   EXPECT_EQ(machine.run(barrier_kernel), first);
   EXPECT_EQ(arena.capacity_bytes(), warm_capacity);
   // Detaching restores the machine-owned arena.
-  machine.set_frame_arena(nullptr);
+  Machine::set_thread_resources(nullptr);
   EXPECT_EQ(machine.run(barrier_kernel), first);
+}
+
+TEST(FrameArenaTest, FinishedSubtaskFramesAreReusedWithinARun) {
+  // 4 or 64 sequential subroutine calls per thread: finished SubTask
+  // frames go back to the arena's free list, so the arena grows with the
+  // frames alive at once, not with the number of calls.
+  const auto capacity_after = [](int calls) {
+    Machine machine(barrier_config(true));
+    const RunReport report = machine.run([calls](ThreadCtx& t) -> SimTask {
+      for (int i = 0; i < calls; ++i) co_await tick(t);
+    });
+    EXPECT_GT(report.makespan, 0);
+    return machine.frame_arena().capacity_bytes();
+  };
+  const std::size_t few = capacity_after(4);
+  EXPECT_GT(few, 0u);
+  EXPECT_EQ(capacity_after(64), few);
 }
 
 // ---- exception propagation through nested SubTasks under the arena ----

@@ -306,6 +306,19 @@ TEST(Json, RejectsMalformedDocuments) {
   }
 }
 
+TEST(Json, RejectsDocumentsLongerThanTheLineLimit) {
+  // Valid documents, padded with insignificant whitespace.
+  std::string doc = "[1]" + std::string(json::kMaxLineBytes - 3, ' ');
+  EXPECT_EQ(json::parse(doc).as_array().size(), 1u);
+  doc.push_back(' ');
+  try {
+    json::parse(doc);
+    ADD_FAILURE() << "accepted a document of " << doc.size() << " bytes";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::strstr(e.what(), "longer than"), nullptr) << e.what();
+  }
+}
+
 TEST(Json, EscapeRoundTripsThroughParse) {
   const std::string nasty = "a\"b\\c\nd\te\x01f";
   const std::string doc = "\"" + json::escape(nasty) + "\"";

@@ -3,7 +3,8 @@
 #
 #   1. Debug build with -fsanitize=address,undefined, whole test suite;
 #   2. Debug build with -fsanitize=thread, whole test suite (the sweep
-#      runner and workload cache are the concurrent surfaces; skipped
+#      runner, the daemon and the workload cache are the concurrent
+#      surfaces; skipped
 #      with a notice when the toolchain lacks TSan runtime support);
 #   3. Release build, whole test suite (the tier-1 gate of ROADMAP.md);
 #   4. the bench-smoke label (bench_engine_hotpath on a tiny grid),
@@ -40,12 +41,12 @@ if printf 'int main(){return 0;}' > /tmp/tsan_probe.cc \
     > /dev/null
   cmake --build build-tsan -j "${JOBS}"
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}"
-  # The threaded engine suite once more, serially: a TSan report should
-  # land in clean, uninterleaved output (the parallel pass above still
-  # covers it; this is the focused rerun the intra-run parallelism work
-  # added).
+  # The threaded engine and the worker pool (run::SweepRunner, shared by
+  # hmmsim --jobs and the hmmsimd daemon) once more, serially: a TSan
+  # report should land in clean, uninterleaved output (the parallel pass
+  # above still covers them).
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ThreadedEngine|hmmsim_threads'
+    -R 'ThreadedEngine|hmmsim_threads|Determinism.Sweep|SweepRunner|Service\.'
 else
   echo "TSan runtime unavailable; skipping thread-sanitizer stage"
 fi

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "core/version.hpp"
 #include "report/sweep_csv.hpp"
 #include "report/table.hpp"
@@ -133,14 +134,12 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, args)) return usage(argv[0]);
 
   try {
-    std::ifstream manifest_file(args.manifest_path);
-    if (!manifest_file) {
+    const std::optional<std::string> manifest_text =
+        json::read_document(args.manifest_path);
+    if (!manifest_text) {
       throw PreconditionError("cannot open manifest: " + args.manifest_path);
     }
-    std::ostringstream manifest_text;
-    manifest_text << manifest_file.rdbuf();
-    const run::Manifest manifest =
-        run::parse_manifest_json(manifest_text.str());
+    const run::Manifest manifest = run::parse_manifest_json(*manifest_text);
 
     const std::size_t header_cols = split_csv(manifest.header).size();
     const std::size_t data_cols =

@@ -38,6 +38,7 @@
 #include "analysis/checker.hpp"
 #include "analysis/static/diff.hpp"
 #include "analysis/static/evaluate.hpp"
+#include "core/json.hpp"
 #include "core/version.hpp"
 #include "machine/topology_spec.hpp"
 #include "report/analysis_static.hpp"
@@ -1029,12 +1030,18 @@ int main(int argc, char** argv) {
       const run::Manifest manifest = run::plan_manifest(
           grid, cli.shards, "hmmsim",
           sweep_csv_header(grid.metrics, true, grid.analyze));
+      const std::string text = run::manifest_json(manifest);
+      if (text.size() > json::kMaxLineBytes) {  // hmm-merge could not read it
+        throw PreconditionError("manifest of " + std::to_string(text.size()) +
+                                " bytes exceeds the JSON document limit; "
+                                "use fewer shards");
+      }
       std::ofstream out(cli.emit_manifest_path);
       if (!out) {
         throw PreconditionError("cannot open manifest file: " +
                                 cli.emit_manifest_path);
       }
-      out << run::manifest_json(manifest);
+      out << text;
       if (!out) {
         throw PreconditionError("failed writing manifest file: " +
                                 cli.emit_manifest_path);
