@@ -274,7 +274,7 @@ MachineConv convolution_hmm(std::span<const Word> a, std::span<const Word> x,
                             std::int64_t num_dmms,
                             std::int64_t threads_per_dmm, std::int64_t width,
                             Cycle latency, EngineObserver* observer,
-                            bool fast_forward) {
+                            bool fast_forward, const RunContext& run) {
   const auto m = static_cast<std::int64_t>(a.size());
   const auto n = static_cast<std::int64_t>(x.size()) - m + 1;
   check_shapes(m, n, static_cast<std::int64_t>(x.size()));
@@ -287,7 +287,7 @@ MachineConv convolution_hmm(std::span<const Word> a, std::span<const Word> x,
   const std::int64_t global_size = m + conv_signal_length(m, n) + n;
 
   Machine machine = Machine::hmm(width, latency, num_dmms, threads_per_dmm,
-                                 shared_size, global_size);
+                                 shared_size, global_size, run);
   machine.set_observer(observer);
   machine.set_fast_forward(fast_forward);
   machine.global_memory().load(0, a);

@@ -74,7 +74,8 @@ MachineConv convolution_hmm(std::span<const Word> a, std::span<const Word> x,
                             std::int64_t threads_per_dmm, std::int64_t width,
                             Cycle latency,
                             EngineObserver* observer = nullptr,
-                            bool fast_forward = true);
+                            bool fast_forward = true,
+                            const RunContext& run = {});
 
 /// Capacity-aware Theorem 9: real shared memories are tiny (§III: 48KB
 /// against a 2GB global memory), so a DMM whose n/d slice does not fit

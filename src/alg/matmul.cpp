@@ -78,7 +78,7 @@ MachineMatmul matmul_hmm_tiled(std::span<const Word> a,
                                std::int64_t threads_per_dmm,
                                std::int64_t width, Cycle latency,
                                std::int64_t tile, EngineObserver* observer,
-                               bool fast_forward) {
+                               bool fast_forward, const RunContext& run) {
   check_matrices(a, b, rows);
   HMM_REQUIRE(tile >= 1 && rows % tile == 0,
               "matmul: tile must divide rows");
@@ -89,7 +89,7 @@ MachineMatmul matmul_hmm_tiled(std::span<const Word> a,
   // Shared layout per DMM: A-tile, B-tile, C-tile accumulators.
   const Address s_a = 0, s_b = t2, s_c = 2 * t2;
   Machine machine = Machine::hmm(width, latency, num_dmms, threads_per_dmm,
-                                 3 * t2, 3 * cells);
+                                 3 * t2, 3 * cells, run);
   machine.set_observer(observer);
   machine.set_fast_forward(fast_forward);
   const Address ax = 0, bx = cells, cx = 2 * cells;

@@ -58,6 +58,7 @@ MachineMatmul matmul_hmm_tiled(std::span<const Word> a,
                                std::int64_t width, Cycle latency,
                                std::int64_t tile,
                                EngineObserver* observer = nullptr,
-                               bool fast_forward = true);
+                               bool fast_forward = true,
+                               const RunContext& run = {});
 
 }  // namespace hmm::alg

@@ -214,7 +214,7 @@ MachineScan prefix_sums_umm(std::span<const Word> input, std::int64_t threads,
 MachineScan prefix_sums_hmm(std::span<const Word> input, std::int64_t num_dmms,
                             std::int64_t threads_per_dmm, std::int64_t width,
                             Cycle latency, EngineObserver* observer,
-                            bool fast_forward) {
+                            bool fast_forward, const RunContext& run) {
   const auto n = static_cast<std::int64_t>(input.size());
   HMM_REQUIRE(n >= 1, "prefix sums: n must be >= 1");
   HMM_REQUIRE(num_dmms >= 1 && n % num_dmms == 0,
@@ -233,7 +233,7 @@ MachineScan prefix_sums_hmm(std::span<const Word> input, std::int64_t num_dmms,
   const std::int64_t global_size = n + d;
 
   Machine machine = Machine::hmm(width, latency, d, threads_per_dmm,
-                                 shared_size, global_size);
+                                 shared_size, global_size, run);
   machine.set_observer(observer);
   machine.set_fast_forward(fast_forward);
   machine.global_memory().load(0, input);

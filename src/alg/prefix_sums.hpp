@@ -65,6 +65,7 @@ MachineScan prefix_sums_umm(std::span<const Word> input, std::int64_t threads,
 MachineScan prefix_sums_hmm(std::span<const Word> input, std::int64_t num_dmms,
                             std::int64_t threads_per_dmm, std::int64_t width,
                             Cycle latency, EngineObserver* observer = nullptr,
-                            bool fast_forward = true);
+                            bool fast_forward = true,
+                            const RunContext& run = {});
 
 }  // namespace hmm::alg

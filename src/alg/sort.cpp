@@ -93,13 +93,13 @@ MachineSort sort_umm(std::span<const Word> input, std::int64_t threads,
 MachineSort sort_hmm(std::span<const Word> input, std::int64_t num_dmms,
                      std::int64_t threads_per_dmm, std::int64_t width,
                      Cycle latency, EngineObserver* observer,
-                     bool fast_forward) {
+                     bool fast_forward, const RunContext& run) {
   const auto n = static_cast<std::int64_t>(input.size());
   const std::int64_t d = num_dmms;
   HMM_REQUIRE(d >= 1 && is_pow2(d) && n >= d && n % d == 0,
               "bitonic sort: d must be a power of two dividing n");
   Machine machine =
-      Machine::hmm(width, latency, d, threads_per_dmm, n / d, n);
+      Machine::hmm(width, latency, d, threads_per_dmm, n / d, n, run);
   machine.set_observer(observer);
   machine.set_fast_forward(fast_forward);
   machine.global_memory().load(0, input);

@@ -50,7 +50,7 @@ MachineSort sort_mm(Machine& machine, MemorySpace space, std::int64_t n);
 MachineSort sort_hmm(std::span<const Word> input, std::int64_t num_dmms,
                      std::int64_t threads_per_dmm, std::int64_t width,
                      Cycle latency, EngineObserver* observer = nullptr,
-                     bool fast_forward = true);
+                     bool fast_forward = true, const RunContext& run = {});
 
 /// Same, on an existing HMM with the input loaded at global [0, n);
 /// shared memories must hold n/d cells.

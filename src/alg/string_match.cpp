@@ -129,7 +129,8 @@ MachineMatch string_match_hmm(std::span<const Word> pattern,
                               std::int64_t num_dmms,
                               std::int64_t threads_per_dmm,
                               std::int64_t width, Cycle latency,
-                              EngineObserver* observer, bool fast_forward) {
+                              EngineObserver* observer, bool fast_forward,
+                              const RunContext& run) {
   check_inputs(pattern, text);
   const auto m = static_cast<std::int64_t>(pattern.size());
   const auto n = static_cast<std::int64_t>(text.size());
@@ -148,7 +149,7 @@ MachineMatch string_match_hmm(std::span<const Word> pattern,
   const std::int64_t global_size = m + n + n;
 
   Machine machine = Machine::hmm(width, latency, d, threads_per_dmm,
-                                 shared_size, global_size);
+                                 shared_size, global_size, run);
   machine.set_observer(observer);
   machine.set_fast_forward(fast_forward);
   machine.global_memory().load(g_pat, pattern);

@@ -59,6 +59,7 @@ MachineMatch string_match_hmm(std::span<const Word> pattern,
                               std::int64_t threads_per_dmm,
                               std::int64_t width, Cycle latency,
                               EngineObserver* observer = nullptr,
-                              bool fast_forward = true);
+                              bool fast_forward = true,
+                              const RunContext& run = {});
 
 }  // namespace hmm::alg

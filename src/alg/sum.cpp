@@ -181,11 +181,12 @@ MachineSum sum_hmm(Machine& machine, std::int64_t n) {
 
 MachineSum sum_hmm(std::span<const Word> input, std::int64_t num_dmms,
                    std::int64_t threads_per_dmm, std::int64_t width,
-                   Cycle latency, EngineObserver* observer, bool fast_forward) {
+                   Cycle latency, EngineObserver* observer, bool fast_forward,
+                   const RunContext& run) {
   const auto n = static_cast<std::int64_t>(input.size());
   const std::int64_t shared_size = std::max(threads_per_dmm, num_dmms);
   Machine m = Machine::hmm(width, latency, num_dmms, threads_per_dmm,
-                           shared_size, n + num_dmms);
+                           shared_size, n + num_dmms, run);
   m.set_observer(observer);
   m.set_fast_forward(fast_forward);
   m.global_memory().load(0, input);

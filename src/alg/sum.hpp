@@ -1,10 +1,11 @@
 // The sum problem (§V–§VII) on every model of Table I.
 //
-// Each function loads nothing itself: inputs are written into the target
-// machine's memory by the caller-facing convenience overloads, run the
-// algorithm, and return the total together with the simulated time.
-// Layout conventions are documented per function; callers sizing their
-// own machines can use the *_memory_demand helpers.
+// The Machine& overloads load nothing themselves: they run the algorithm
+// on inputs the caller already wrote into the machine's memory and return
+// the total together with the simulated time.  The span overloads build
+// the machine, load the input and run.  Layout conventions and memory
+// demands are documented per function, for callers sizing their own
+// machines.
 #pragma once
 
 #include <span>
@@ -81,6 +82,6 @@ MachineSum sum_hmm(Machine& machine, std::int64_t n);
 MachineSum sum_hmm(std::span<const Word> input, std::int64_t num_dmms,
                    std::int64_t threads_per_dmm, std::int64_t width,
                    Cycle latency, EngineObserver* observer = nullptr,
-                   bool fast_forward = true);
+                   bool fast_forward = true, const RunContext& run = {});
 
 }  // namespace hmm::alg

@@ -74,12 +74,19 @@ void tally(ConflictHistogram& hist, std::int64_t degree) {
 // ---------------------------------------------------------------------------
 
 AccessChecker::AccessChecker(const Machine& machine, CheckerConfig config)
-    : config_(config),
-      width_(machine.width()),
-      num_dmms_(machine.num_dmms()),
-      machine_(&machine) {
+    : AccessChecker(config) {
+  bind(machine);
+}
+
+AccessChecker::AccessChecker(CheckerConfig config) : config_(config) {
   HMM_REQUIRE(config_.max_findings >= 0,
               "checker: max_findings must be >= 0");
+}
+
+void AccessChecker::bind(const Machine& machine) {
+  machine_ = &machine;
+  width_ = machine.width();
+  num_dmms_ = machine.num_dmms();
   if (machine.has_shared()) {
     shared_size_ = machine.shared_memory(0).size();
     shared_cells_.resize(static_cast<std::size_t>(num_dmms_));
@@ -92,11 +99,9 @@ AccessChecker::AccessChecker(const Machine& machine, CheckerConfig config)
     global_cells_.resize(static_cast<std::size_t>(global_size_));
   }
   dmm_epoch_.assign(static_cast<std::size_t>(num_dmms_), 1);
-}
-
-AccessChecker::AccessChecker(CheckerConfig config) : config_(config) {
-  HMM_REQUIRE(config_.max_findings >= 0,
-              "checker: max_findings must be >= 0");
+  for (const PendingInit& p : std::exchange(pending_init_, {})) {
+    declare_initialized(p.space, p.base, p.size, p.dmm);
+  }
 }
 
 void AccessChecker::declare_region(MemorySpace space, Address base,
@@ -113,6 +118,10 @@ void AccessChecker::declare_region(MemorySpace space, Address base,
 
 void AccessChecker::declare_initialized(MemorySpace space, Address base,
                                         std::int64_t size, DmmId dmm) {
+  if (machine_ == nullptr) {
+    pending_init_.push_back(PendingInit{space, base, size, dmm});
+    return;
+  }
   const std::int64_t mem =
       space == MemorySpace::kShared ? shared_size_ : global_size_;
   HMM_REQUIRE(mem > 0, "checker: machine has no memory of this space");
@@ -215,24 +224,7 @@ void AccessChecker::bump_dmm_epochs() {
 // ---------------------------------------------------------------------------
 
 void AccessChecker::on_run_begin(const Machine& machine) {
-  if (machine_ == nullptr) {
-    // Deferred-binding form: adopt this machine's shape now.
-    machine_ = &machine;
-    width_ = machine.width();
-    num_dmms_ = machine.num_dmms();
-    if (machine.has_shared()) {
-      shared_size_ = machine.shared_memory(0).size();
-      shared_cells_.resize(static_cast<std::size_t>(num_dmms_));
-      for (auto& table : shared_cells_) {
-        table.resize(static_cast<std::size_t>(shared_size_));
-      }
-    }
-    if (machine.has_global()) {
-      global_size_ = machine.global_memory().size();
-      global_cells_.resize(static_cast<std::size_t>(global_size_));
-    }
-    dmm_epoch_.assign(static_cast<std::size_t>(num_dmms_), 1);
-  }
+  if (machine_ == nullptr) bind(machine);  // deferred-binding form
   HMM_REQUIRE(&machine == machine_,
               "checker: attached to a machine it was not built for");
   // A run boundary is a machine-wide synchronisation point.

@@ -98,8 +98,9 @@ struct CheckerConfig {
   std::int64_t max_findings = 64;
 };
 
-/// The checker is bound to one Machine's shape at construction and
-/// attaches via `machine.set_observer(&checker)`.  It may observe any
+/// The checker is bound to one Machine's shape at construction (or, in
+/// the deferred form, at its first run) and attaches via
+/// `machine.set_observer(&checker)`.  It may observe any
 /// number of runs; happens-before state carries across runs (a run
 /// boundary is a machine-wide synchronisation point) and so does the
 /// initialized-cell map (memory contents persist across runs too).
@@ -110,8 +111,10 @@ class AccessChecker final : public EngineObserver {
   /// Deferred binding: adopt the shape of the first machine that begins a
   /// run while this checker is attached (and stay bound to it).  For
   /// harnesses observing machines constructed inside algorithm drivers —
-  /// e.g. the static/dynamic differential runner.  Shape declarations
-  /// (declare_region / declare_initialized) require the bound form.
+  /// e.g. `hmmsim --check` and the static/dynamic differential runner.
+  /// declare_initialized calls made before binding are kept and applied
+  /// (and range-checked) when the checker binds; declare_region requires
+  /// the bound form.
   explicit AccessChecker(CheckerConfig config = {});
 
   // ---- shape declarations (before the run) ----------------------------
@@ -183,6 +186,15 @@ class AccessChecker final : public EngineObserver {
     std::int64_t size = 0;
   };
 
+  /// A declare_initialized call made before binding.
+  struct PendingInit {
+    MemorySpace space;
+    Address base;
+    std::int64_t size;
+    DmmId dmm;
+  };
+
+  void bind(const Machine& machine);
   std::vector<CellState>& cells_for(MemorySpace space, DmmId dmm);
   bool in_declared_region(MemorySpace space, Address a) const;
   bool ordered_after(const AccessRecord& prior, DmmId accessor_dmm) const;
@@ -202,6 +214,7 @@ class AccessChecker final : public EngineObserver {
   std::vector<CellState> global_cells_;
   std::vector<Region> shared_regions_;  // empty: whole memory is legal
   std::vector<Region> global_regions_;
+  std::vector<PendingInit> pending_init_;  // applied by bind()
 
   std::vector<std::uint64_t> dmm_epoch_;
   std::uint64_t machine_epoch_ = 1;

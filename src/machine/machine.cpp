@@ -21,8 +21,6 @@ namespace {
 thread_local Machine::WorkerResources* t_resources = nullptr;
 // Default for MachineConfig::threads == 0 (set_thread_engine_threads).
 thread_local std::int64_t t_default_threads = 1;
-// Topology overlay consulted by Machine::hmm (set_thread_machine_overlay).
-thread_local const MachineOverlay* t_default_overlay = nullptr;
 }  // namespace
 
 void Machine::set_thread_resources(WorkerResources* resources) {
@@ -38,13 +36,6 @@ void Machine::set_thread_engine_threads(std::int64_t threads) {
   t_default_threads = threads < 1 ? 1 : threads;
 }
 std::int64_t Machine::thread_engine_threads() { return t_default_threads; }
-
-void Machine::set_thread_machine_overlay(const MachineOverlay* overlay) {
-  t_default_overlay = overlay;
-}
-const MachineOverlay* Machine::thread_machine_overlay() {
-  return t_default_overlay;
-}
 
 // ---------------------------------------------------------------------------
 // Machine construction
@@ -115,19 +106,20 @@ Machine Machine::umm(std::int64_t width, Cycle latency,
 Machine Machine::hmm(std::int64_t width, Cycle global_latency,
                      std::int64_t num_dmms, std::int64_t threads_per_dmm,
                      std::int64_t shared_size, std::int64_t global_size,
-                     Cycle shared_latency) {
+                     const RunContext& run, Cycle shared_latency) {
   MachineConfig cfg;
   cfg.width = width;
   cfg.threads_per_dmm.assign(static_cast<std::size_t>(num_dmms),
                              threads_per_dmm);
   cfg.shared = MemorySpec{shared_size, shared_latency};
   cfg.global = MemorySpec{global_size, global_latency};
-  // A registered topology overlay reshapes the machine the driver asked
-  // for: per-DMM thread counts and shared specs, plus interconnect links.
-  // The driver's shared_size formula (computed for the LARGEST DMM, see
+  cfg.threads = std::max<std::int64_t>(run.threads, 0);
+  // A topology reshapes the machine the driver asked for: per-DMM thread
+  // counts and shared specs, plus interconnect links.  The driver's
+  // shared_size formula (computed for the LARGEST DMM, see
   // run::run_point) stays the per-DMM floor so kernels keep the room
   // they sized for.
-  if (const MachineOverlay* ov = thread_machine_overlay()) {
+  if (const MachineOverlay* ov = run.topology) {
     HMM_REQUIRE(
         static_cast<std::int64_t>(ov->threads_per_dmm.size()) == num_dmms &&
             static_cast<std::int64_t>(ov->shared.size()) == num_dmms &&

@@ -9,9 +9,11 @@
 //   Machine::dmm(w, l, p, size)            — one DMM, shared memory only
 //   Machine::umm(w, l, p, size)            — one "DMM" of threads, global
 //                                            memory only
-//   Machine::hmm(w, l, d, p_per_dmm, shared_size, global_size)
+//   Machine::hmm(w, l, d, p_per_dmm, shared_size, global_size, run)
 //                                          — the HMM: shared latency 1,
-//                                            global latency l
+//                                            global latency l, engine
+//                                            threads and topology from
+//                                            the RunContext
 //
 // Timing semantics are normative in DESIGN.md §4 and enforced by the
 // engine in machine.cpp:
@@ -74,17 +76,30 @@ struct DmmLink {
   friend bool operator==(const DmmLink&, const DmmLink&) = default;
 };
 
-/// Per-DMM deviations from the uniform (d, p, w, l) machine, consulted
-/// by Machine::hmm through a thread-local hook (set_thread_machine_overlay)
-/// because the span drivers (alg::sum_hmm etc.) build their Machines
-/// internally, out of reach of MachineConfig.  All three vectors must
-/// have exactly one entry per DMM of the machine being built; `shared`
-/// carries each DMM's pipeline latency and a MINIMUM word count that is
-/// max-combined with the driver's own size formula.
+/// Per-DMM deviations from the uniform (d, p, w, l) machine: the shape a
+/// non-trivial --machine topology (TopologySpec::overlay) gives the HMM a
+/// span driver builds.  It reaches Machine::hmm through
+/// RunContext::topology.  All three vectors must have exactly one entry
+/// per DMM of the machine being built; `shared` carries each DMM's
+/// pipeline latency and a MINIMUM word count that is max-combined with
+/// the driver's own size formula.
 struct MachineOverlay {
   std::vector<std::int64_t> threads_per_dmm;
   std::vector<MemorySpec> shared;
   std::vector<DmmLink> links;
+};
+
+/// The per-run settings a caller hands down to the machine a span driver
+/// builds (run::run_point -> alg::sum_hmm et al. -> Machine::hmm), so a
+/// driver's machine is fully determined by its arguments.
+struct RunContext {
+  /// Engine worker threads (MachineConfig::threads); zero or negative
+  /// inherits the calling thread's default.
+  std::int64_t threads = 0;
+  /// Per-DMM shapes and links to build instead of the uniform machine;
+  /// null builds the uniform machine.  Not owned; read only while the
+  /// factory runs.
+  const MachineOverlay* topology = nullptr;
 };
 
 struct MachineConfig {
@@ -123,6 +138,7 @@ struct MachineConfig {
   /// bit-identical to the serial engine at any thread count.  0 means
   /// "inherit the calling thread's default" (see
   /// Machine::set_thread_engine_threads), which itself defaults to 1.
+  /// Machine::hmm sets this field from RunContext::threads.
   /// The effective count is clamped to the number of DMMs, and to 1
   /// whenever an observer is attached — the serial-order event stream is
   /// only produced by the serial loop (same contract as fast-forward
@@ -141,10 +157,15 @@ class Machine {
                      std::int64_t num_threads, std::int64_t memory_size);
   static Machine umm(std::int64_t width, Cycle latency,
                      std::int64_t num_threads, std::int64_t memory_size);
+  /// `run` sets the engine thread count and, for a non-trivial
+  /// topology, replaces the uniform per-DMM shapes: each DMM takes the
+  /// topology's thread count, shared latency and links, and the larger of
+  /// `shared_size` and the topology's size floor.  The topology must
+  /// describe exactly `num_dmms` DMMs.
   static Machine hmm(std::int64_t width, Cycle global_latency,
                      std::int64_t num_dmms, std::int64_t threads_per_dmm,
                      std::int64_t shared_size, std::int64_t global_size,
-                     Cycle shared_latency = 1);
+                     const RunContext& run = {}, Cycle shared_latency = 1);
 
   // ---- shape -----------------------------------------------------------
   const Topology& topology() const { return topology_; }
@@ -209,29 +230,15 @@ class Machine {
   /// registered resources, otherwise the machine's own.
   const FrameArena& frame_arena() const;
 
-  // ---- machine topology overlay ----------------------------------------
-  /// Thread-local MachineOverlay consulted by the Machine::hmm factory:
-  /// while registered, every HMM built on this thread adopts the
-  /// overlay's per-DMM thread counts, shared specs and links (the DMM
-  /// count must match — a driver constructing a differently-shaped
-  /// machine under an overlay is a precondition error).  This is how a
-  /// non-trivial --machine topology reaches the span drivers; see
-  /// run::run_point.  Same contract as set_thread_resources: not owned,
-  /// must outlive the registration, never shared across threads; nullptr
-  /// deregisters.  Machine::dmm / Machine::umm ignore the overlay.
-  static void set_thread_machine_overlay(const MachineOverlay* overlay);
-  static const MachineOverlay* thread_machine_overlay();
-
   // ---- intra-run parallelism -------------------------------------------
   /// Engine worker threads for subsequent runs (overrides
   /// MachineConfig::threads; 0 restores "inherit the thread default").
   void set_engine_threads(std::int64_t threads) { config_.threads = threads; }
   std::int64_t engine_threads() const { return config_.threads; }
-  /// Thread-local default for MachineConfig::threads == 0, mirroring
-  /// set_thread_resources: the convenience drivers (alg::sum_hmm etc.)
-  /// build Machines internally, so run::run_point registers the resolved
-  /// --threads value here for the duration of one point dispatch.
-  /// Values < 1 reset the default to 1.
+  /// Thread-local default for MachineConfig::threads == 0.  Callers that
+  /// reach the span drivers without a RunContext set it around a
+  /// dispatch; run::run_point passes RunContext::threads instead.  Values
+  /// < 1 reset the default to 1.
   static void set_thread_engine_threads(std::int64_t threads);
   static std::int64_t thread_engine_threads();
 
@@ -269,24 +276,5 @@ class Machine {
   // neither be copied nor moved).
   std::vector<std::unique_ptr<WorkerResources>> worker_resources_;
 };
-
-/// RAII registration of one per-thread default (a Machine::set_thread_*
-/// hook) for the span of one dispatch: restores the previous
-/// registration even when the guarded code throws.
-template <typename T, T (*Get)(), void (*Set)(T)>
-class ThreadDefaultScope {
- public:
-  explicit ThreadDefaultScope(T value) : saved_(Get()) { Set(value); }
-  ~ThreadDefaultScope() { Set(saved_); }
-  ThreadDefaultScope(const ThreadDefaultScope&) = delete;
-  ThreadDefaultScope& operator=(const ThreadDefaultScope&) = delete;
-
- private:
-  T saved_;
-};
-
-using MachineOverlayScope =
-    ThreadDefaultScope<const MachineOverlay*, &Machine::thread_machine_overlay,
-                       &Machine::set_thread_machine_overlay>;
 
 }  // namespace hmm

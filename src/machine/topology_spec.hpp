@@ -35,7 +35,8 @@
 // uniform thread counts, shared latency 1, no size floors, no links — is
 // TRIVIAL: callers run it through the exact code path flags take, so a
 // flag run and its equivalent JSON are byte-identical by construction.
-// Non-trivial specs travel to the span drivers as a MachineOverlay.
+// Non-trivial specs travel to the span drivers as a MachineOverlay in
+// their RunContext (run::run_point), which Machine::hmm applies.
 #pragma once
 
 #include <cstdint>
@@ -126,8 +127,8 @@ class TopologySpec {
   /// are byte-identical by construction.
   bool is_trivial() const;
 
-  /// The per-DMM overlay a non-trivial spec registers around one driver
-  /// dispatch (Machine::set_thread_machine_overlay).
+  /// The per-DMM overlay a non-trivial spec hands to the span drivers as
+  /// RunContext::topology, applied by Machine::hmm.
   MachineOverlay overlay() const;
 
   /// Canonical fingerprint text of the MACHINE the spec resolves to —

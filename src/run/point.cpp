@@ -1,6 +1,7 @@
 #include "run/point.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "alg/convolution.hpp"
 #include "alg/matmul.hpp"
@@ -14,29 +15,22 @@ namespace hmm::run {
 
 namespace {
 
-// The span drivers (alg::sum_hmm etc.) build their Machines internally,
-// out of reach of MachineConfig, so the resolved thread count travels as
-// the calling thread's engine default for exactly the span of one
-// dispatch.  RAII so precondition throws below restore the default too.
-using EngineThreadsScope =
-    ThreadDefaultScope<std::int64_t, &Machine::thread_engine_threads,
-                       &Machine::set_thread_engine_threads>;
-
-// A non-trivial topology reaches the span drivers as a thread-local
-// MachineOverlay; trivial specs and plain flags take the untouched path.
-bool overlaid(const Point& o) {
-  return o.machine != nullptr && !o.machine->is_trivial();
-}
-
-std::optional<MachineOverlay> checked_overlay(const Point& o) {
+// The topology the hmm drivers build: a non-trivial --machine spec's
+// per-DMM overlay.  Trivial specs and plain flags take the untouched
+// uniform path.
+std::optional<MachineOverlay> checked_topology(const Point& o) {
   require_machine_model(o.machine.get(), o.model);
-  if (!overlaid(o)) return std::nullopt;
+  if (o.machine == nullptr || o.machine->is_trivial()) return std::nullopt;
   return o.machine->overlay();
 }
 
-std::int64_t checked_threads_per_dmm(const Point& o) {
+// The per-DMM thread count the drivers size their kernels for (0 on the
+// umm model).  The shared-size formulas are nondecreasing in it, so a
+// point with a topology is sized for its LARGEST DMM and the topology's
+// per-DMM minima apply on top (Machine::hmm).
+std::int64_t checked_threads_per_dmm(const Point& o, bool topology) {
   if (o.model != "hmm") return 0;
-  if (overlaid(o)) return o.machine->max_threads_per_dmm();
+  if (topology) return o.machine->max_threads_per_dmm();
   if (o.p % o.d != 0 || o.p < o.d) {
     throw PreconditionError("--p must be a positive multiple of --d");
   }
@@ -54,18 +48,13 @@ void require_machine_model(const topo::TopologySpec* machine,
   }
 }
 
-PointShape::PointShape(const Point& point)
-    : overlay_(checked_overlay(point)),
-      scope_(overlay_ ? &*overlay_ : nullptr),
-      threads_per_dmm_(checked_threads_per_dmm(point)) {}
-
 PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
                        EngineObserver* observer) {
-  const EngineThreadsScope threads_scope(
-      o.threads < 1 ? Machine::thread_engine_threads() : o.threads);
   const bool hmm_model = o.model == "hmm";
-  const PointShape shape(o);
-  const std::int64_t pd = shape.threads_per_dmm();
+  const std::optional<MachineOverlay> topology = checked_topology(o);
+  const std::int64_t pd = checked_threads_per_dmm(o, topology.has_value());
+  const RunContext run{.threads = o.threads,
+                       .topology = topology ? &*topology : nullptr};
 
   PointOutcome out;
   auto finish = [&](const RunReport& r, std::string summary) {
@@ -79,7 +68,7 @@ PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
     const auto xs = workloads.random_words(o.n, o.seed);
     if (hmm_model) {
       const auto r =
-          alg::sum_hmm(*xs, o.d, pd, o.w, o.l, observer, o.fast_forward);
+          alg::sum_hmm(*xs, o.d, pd, o.w, o.l, observer, o.fast_forward, run);
       finish(r.report, "sum = " + std::to_string(r.sum));
     } else {
       const auto r = alg::sum_umm(*xs, o.p, o.w, o.l, observer, o.fast_forward);
@@ -89,7 +78,7 @@ PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
     const auto xs = workloads.random_words(o.n, o.seed);
     if (hmm_model) {
       const auto r = alg::prefix_sums_hmm(*xs, o.d, pd, o.w, o.l, observer,
-                                          o.fast_forward);
+                                          o.fast_forward, run);
       finish(r.report, "last prefix = " + std::to_string(r.prefix.back()));
     } else {
       const auto r = alg::prefix_sums_umm(*xs, o.p, o.w, o.l, observer,
@@ -102,7 +91,7 @@ PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
         workloads.random_words(alg::conv_signal_length(o.m, o.n), o.seed + 1);
     if (hmm_model) {
       const auto r = alg::convolution_hmm(*a, *x, o.d, pd, o.w, o.l, observer,
-                                          o.fast_forward);
+                                          o.fast_forward, run);
       finish(r.report, "z[0] = " + std::to_string(r.z.front()));
     } else {
       const auto r = alg::convolution_umm(*a, *x, o.p, o.w, o.l, observer,
@@ -113,7 +102,7 @@ PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
     const auto xs = workloads.random_words(o.n, o.seed);
     if (hmm_model) {
       const auto r =
-          alg::sort_hmm(*xs, o.d, pd, o.w, o.l, observer, o.fast_forward);
+          alg::sort_hmm(*xs, o.d, pd, o.w, o.l, observer, o.fast_forward, run);
       finish(r.report, "min = " + std::to_string(r.sorted.front()) +
                            ", max = " + std::to_string(r.sorted.back()));
     } else {
@@ -128,7 +117,7 @@ PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
     if (hmm_model) {
       const std::int64_t tile = std::min<std::int64_t>(o.n, o.w);
       const auto r = alg::matmul_hmm_tiled(*a, *b, o.n, o.d, pd, o.w, o.l,
-                                           tile, observer, o.fast_forward);
+                                           tile, observer, o.fast_forward, run);
       finish(r.report, "C[0][0] = " + std::to_string(r.c.front()));
     } else {
       const auto r = alg::matmul_umm(*a, *b, o.n, o.p, o.w, o.l, observer,
@@ -140,7 +129,7 @@ PointOutcome run_point(const Point& o, alg::WorkloadCache& workloads,
     const auto txt = workloads.random_words(o.n, o.seed + 1, 0, 3);
     if (hmm_model) {
       const auto r = alg::string_match_hmm(*pat, *txt, o.d, pd, o.w, o.l,
-                                           observer, o.fast_forward);
+                                           observer, o.fast_forward, run);
       finish(r.report,
              "min distance = " +
                  std::to_string(*std::min_element(r.distance.begin(),

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "alg/workload.hpp"
@@ -40,10 +39,10 @@ struct Point {
   /// the flat axes above by the frontend (p = total threads, d = total
   /// DMMs, w = width, l = global latency).  null or a TRIVIAL spec run
   /// the untouched flag path — byte-identity between a flag run and its
-  /// synthesized JSON is by construction.  A non-trivial spec registers
-  /// a MachineOverlay around the dispatch (hmm model only) so the span
-  /// drivers build the heterogeneous/multi-HMM machine.  Shared because
-  /// every point of a sweep references one parsed spec across workers.
+  /// synthesized JSON is by construction.  A non-trivial spec (hmm model
+  /// only) reaches the span drivers as RunContext::topology, so they
+  /// build the heterogeneous/multi-HMM machine.  Shared because every
+  /// point of a sweep references one parsed spec across workers.
   std::shared_ptr<const topo::TopologySpec> machine;
 
   friend bool operator==(const Point&, const Point&) = default;
@@ -52,33 +51,9 @@ struct Point {
 /// Throws PreconditionError unless `machine` (null = the flat flags) can
 /// run on `model`: a non-trivial topology reshapes DMMs, which only the
 /// hmm model has.  The one copy of that rule, shared by grid admission
-/// (GridSpec::set_machine) and point execution (PointShape).
+/// (GridSpec::set_machine) and point execution (run_point).
 void require_machine_model(const topo::TopologySpec* machine,
                            const std::string& model);
-
-/// The machine shape every driver of `point` builds: the per-DMM thread
-/// count its kernels are sized for (0 on the umm model) and, for a
-/// non-trivial topology, the MachineOverlay registered on the calling
-/// thread for this object's lifetime, so Machine::hmm builds the
-/// heterogeneous machine.  The drivers' shared-size formulas are
-/// nondecreasing in the per-DMM thread count, so an overlaid point is
-/// sized for its LARGEST DMM and the overlay's per-DMM minima apply on
-/// top.  Throws PreconditionError on an invalid shape (see
-/// require_machine_model; on the flat hmm model p must be a positive
-/// multiple of d).
-class PointShape {
- public:
-  explicit PointShape(const Point& point);
-  PointShape(const PointShape&) = delete;
-  PointShape& operator=(const PointShape&) = delete;
-
-  std::int64_t threads_per_dmm() const { return threads_per_dmm_; }
-
- private:
-  std::optional<MachineOverlay> overlay_;
-  MachineOverlayScope scope_;
-  std::int64_t threads_per_dmm_;
-};
 
 /// What one executed point reports back.
 struct PointOutcome {
@@ -92,8 +67,10 @@ struct PointOutcome {
 /// immutable `workloads` cache (thread-safe; concurrent points reuse one
 /// buffer per distinct (n, seed)).  `observer`, when non-null, is
 /// attached for the run — each concurrent point needs its own instance.
-/// Throws PreconditionError on an unknown algorithm or incompatible
-/// shape (p not a positive multiple of d on the hmm model).
+/// The point's engine threads and non-trivial topology reach the hmm
+/// drivers as their RunContext.  Throws PreconditionError on an unknown
+/// algorithm or incompatible shape (see require_machine_model; on the
+/// flat hmm model p must be a positive multiple of d).
 PointOutcome run_point(const Point& point, alg::WorkloadCache& workloads,
                        EngineObserver* observer = nullptr);
 

@@ -180,6 +180,34 @@ TEST(CheckerBounds, DeclareInitializedCoversHostStagedInput) {
   EXPECT_TRUE(checker.clean());
 }
 
+// A deferred-binding checker observes the machine a driver builds, so the
+// host-staged input can only be declared before that machine exists; the
+// declaration is kept and applied when the checker binds.
+TEST(CheckerBounds, DeclarationBeforeDeferredBindingCoversDriverInput) {
+  const std::int64_t n = 4096, d = 4, pd = 64, w = 32;
+  const auto xs = alg::random_words(n, 11);
+  AccessChecker checker;
+  checker.declare_initialized(MemorySpace::kGlobal, 0, n);
+  const auto r = alg::sum_hmm(xs, d, pd, w, 100, &checker);
+  EXPECT_EQ(r.sum, std::accumulate(xs.begin(), xs.end(), Word{0}));
+  EXPECT_EQ(checker.count(FindingKind::kUninitializedRead), 0);
+  EXPECT_TRUE(checker.clean())
+      << "finding: " << to_string(checker.findings().front());
+
+  // Without the declaration the same run reads uninitialized input.
+  AccessChecker undeclared;
+  (void)alg::sum_hmm(xs, d, pd, w, 100, &undeclared);
+  EXPECT_GT(undeclared.count(FindingKind::kUninitializedRead), 0);
+}
+
+TEST(CheckerBounds, DeclarationBeforeDeferredBindingIsRangeCheckedOnBind) {
+  const auto xs = alg::random_words(1024, 11);
+  AccessChecker checker;
+  checker.declare_initialized(MemorySpace::kGlobal, 0, 1 << 20);
+  EXPECT_THROW((void)alg::sum_hmm(xs, 4, 64, 32, 100, &checker),
+               PreconditionError);
+}
+
 // ---------------------------------------------------------------------------
 // (c) Intra-warp write-write
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 // Tests for declarative machine topologies (machine/topology_spec.hpp):
 // schema validation, normalization round-trips, canonical fingerprints,
-// the flags↔JSON equivalence guarantee across every span driver, and the
-// interconnect surcharge of linked multi-HMM machines.
+// the flags↔JSON equivalence guarantee across every span driver, the
+// interconnect surcharge of linked multi-HMM machines, and the explicit
+// RunContext that carries a topology and engine threads to a driver.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "alg/sum.hpp"
 #include "alg/workload.hpp"
 #include "machine/topology_spec.hpp"
 #include "run/point.hpp"
@@ -357,6 +359,51 @@ TEST(TopologySpec, NonTrivialSpecRequiresHmmModel) {
   point.d = 4;
   point.machine = linked_pair();
   EXPECT_THROW(run::run_point(point, workloads), PreconditionError);
+}
+
+// The topology reaches a driver as an explicit argument: a direct driver
+// call with the spec's overlay reproduces run_point on that spec, and the
+// next plain call on the same thread builds the uniform machine again.
+TEST(TopologySpec, ExplicitRunContextMatchesRunPointAndDoesNotLeak) {
+  alg::WorkloadCache workloads;
+  run::Point flat;
+  flat.algorithm = "sum";
+  flat.n = 2048;
+  flat.p = 256;
+  flat.w = 32;
+  flat.l = 100;
+  flat.d = 4;
+  run::Point linked = flat;
+  linked.machine = linked_pair();
+  const run::PointOutcome viaPoint = run::run_point(linked, workloads);
+  const run::PointOutcome flagRun = run::run_point(flat, workloads);
+  ASSERT_NE(viaPoint.time, flagRun.time);
+
+  const auto xs = workloads.random_words(flat.n, flat.seed);
+  const MachineOverlay overlay = linked.machine->overlay();
+  const std::int64_t pd = linked.machine->max_threads_per_dmm();
+  const alg::MachineSum direct =
+      alg::sum_hmm(*xs, flat.d, pd, flat.w, flat.l, nullptr, true,
+                   RunContext{.topology = &overlay});
+  EXPECT_EQ(direct.report.makespan, viaPoint.time);
+  EXPECT_EQ(direct.report.global_pipeline.stages, viaPoint.global_stages);
+  EXPECT_EQ("sum = " + std::to_string(direct.sum), viaPoint.summary);
+
+  const alg::MachineSum plain =
+      alg::sum_hmm(*xs, flat.d, flat.p / flat.d, flat.w, flat.l);
+  EXPECT_EQ(plain.report.makespan, flagRun.time);
+  EXPECT_EQ(plain.report.global_pipeline.stages, flagRun.global_stages);
+  EXPECT_EQ("sum = " + std::to_string(plain.sum), flagRun.summary);
+}
+
+TEST(TopologySpec, ExplicitRunContextThreadsMatchTheSerialReport) {
+  const auto xs = alg::random_words(8192, 3);
+  const alg::MachineSum serial = alg::sum_hmm(
+      xs, 4, 64, 32, 200, nullptr, true, RunContext{.threads = 1});
+  const alg::MachineSum threaded = alg::sum_hmm(
+      xs, 4, 64, 32, 200, nullptr, true, RunContext{.threads = 4});
+  EXPECT_EQ(serial.sum, threaded.sum);
+  EXPECT_TRUE(serial.report == threaded.report);
 }
 
 }  // namespace

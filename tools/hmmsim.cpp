@@ -32,8 +32,6 @@
 #include <vector>
 
 #include "alg/plans.hpp"
-#include "alg/sum.hpp"
-#include "alg/sort.hpp"
 #include "alg/workload.hpp"
 #include "analysis/checker.hpp"
 #include "analysis/static/diff.hpp"
@@ -538,21 +536,16 @@ void print_table(const Table& table) {
   std::printf("%s", os.str().c_str());
 }
 
-/// --check driver: builds the algorithm's machine explicitly, attaches an
-/// AccessChecker before the run, prints the findings and histogram tables
-/// and maps the verdict to an exit code.  Telemetry composes instead of
-/// conflicting: --metrics and --trace ride along through an
-/// ObserverFanout, so one checked run can also produce the metrics
-/// tables and a Chrome trace.
+/// --check driver: runs the point through run::run_point with a
+/// deferred-binding AccessChecker attached (it adopts the machine the
+/// driver builds), prints the findings and histogram tables and maps the
+/// verdict to an exit code.  Telemetry composes instead of conflicting:
+/// --metrics and --trace ride along through an ObserverFanout, so one
+/// checked run can also produce the metrics tables and a Chrome trace.
+/// The checker disables the replay shortcut for the run; --fast-forward
+/// still governs the profile cache.
 int run_checked(const run::Point& o, const Cli& cli) {
   const analysis::CheckerConfig& cfg = cli.check_cfg;
-  const bool hmm_model = o.model == "hmm";
-  // The same shape rule run_point applies: a non-trivial --machine
-  // topology reshapes the DMMs through the registered overlay, and pd
-  // then only sizes the machine's BASE shape (the overlay overrides
-  // per-DMM thread counts and takes the max of size floors).
-  const run::PointShape shape(o);
-  const std::int64_t pd = shape.threads_per_dmm();
   if (o.algorithm != "sum" && o.algorithm != "sort") {
     throw PreconditionError("--check supports algorithms: sum, sort");
   }
@@ -563,57 +556,18 @@ int run_checked(const run::Point& o, const Cli& cli) {
   // and group counts up to 2 are on-model for sort.
   const std::int64_t cert_bound = o.algorithm == "sum" ? 1 : 2;
 
-  Machine machine = [&] {
-    if (o.algorithm == "sum") {
-      return hmm_model ? Machine::hmm(o.w, o.l, o.d, pd,
-                                      std::max(pd, o.d), o.n + o.d)
-                       : Machine::umm(o.w, o.l, o.p, o.n);
-    }
-    if (hmm_model && (o.d < 1 || o.n % o.d != 0)) {
-      throw PreconditionError("sort --check: --d must divide --n");
-    }
-    return hmm_model ? Machine::hmm(o.w, o.l, o.d, pd, o.n / o.d, o.n)
-                     : Machine::umm(o.w, o.l, o.p, o.n);
-  }();
-
-  const auto xs = workloads.random_words(o.n, o.seed);
-  machine.global_memory().load(0, *xs);
-  // The checker attaches as an observer, so the replay shortcut disables
-  // itself for the run; this switch still governs the profile cache and
-  // keeps --fast-forward=off runs honestly cache-free.
-  machine.set_fast_forward(o.fast_forward);
-
-  analysis::AccessChecker checker(machine, cfg);
+  // The drivers load the input into global [0, n) from the host, which
+  // no observer sees.
+  analysis::AccessChecker checker(cfg);
   checker.declare_initialized(MemorySpace::kGlobal, 0, o.n);
 
-  // The checker no longer owns the observer slot exclusively: fan out to
-  // any telemetry consumers requested alongside it.
   telemetry::RingBufferSink sink(cli.trace_capacity);
   telemetry::MetricsRegistry registry;
   telemetry::ObserverFanout fanout;
   fanout.add(&checker);
   if (!cli.trace_path.empty()) fanout.add(&sink);
   if (cli.grid.metrics) fanout.add(&registry);
-  machine.set_observer(fanout.size() > 1
-                           ? static_cast<EngineObserver*>(&fanout)
-                           : static_cast<EngineObserver*>(&checker));
-
-  run::PointOutcome out;
-  if (o.algorithm == "sum") {
-    const auto r = hmm_model ? alg::sum_hmm(machine, o.n)
-                             : alg::sum_mm(machine, MemorySpace::kGlobal, 0,
-                                           o.n);
-    out.time = r.report.makespan;
-    out.summary = "sum = " + std::to_string(r.sum);
-  } else {
-    const auto r = hmm_model ? alg::sort_hmm(machine, o.n)
-                             : alg::sort_mm(machine, MemorySpace::kGlobal,
-                                            o.n);
-    out.time = r.report.makespan;
-    out.summary = "min = " + std::to_string(r.sorted.front()) +
-                  ", max = " + std::to_string(r.sorted.back());
-  }
-  machine.set_observer(nullptr);
+  const run::PointOutcome out = run::run_point(o, workloads, &fanout);
 
   std::printf("%s on %s(n=%lld, p=%lld, w=%lld, l=%lld, d=%lld) under "
               "--check\n",
